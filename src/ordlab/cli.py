@@ -77,6 +77,17 @@ def ingest_corpus(path, tokenization="whitespace"):
     return text.split()
 
 
+def _model_and_context(model_path, target, order):
+    """Load a model, resolve its target and default the context order."""
+    model = distributions.load_model(model_path)
+    target = infotheory.resolve_target(model, target)
+    if order is None:
+        context = tuple(r for r in model.roles if r != target)
+    else:
+        context = tuple(order.split(","))
+    return model, target, context
+
+
 @click.group()
 def main():
     """Information-theoretic word order laboratory."""
@@ -96,12 +107,7 @@ def main():
 @domain_errors
 def placement(model_path, target, order, objective, output):
     """Per-context-size entropies and the optimal placement set."""
-    model = distributions.load_model(model_path)
-    resolved = infotheory._resolve_target(model, target)
-    if order is None:
-        context = tuple(r for r in model.roles if r != resolved)
-    else:
-        context = tuple(order.split(","))
+    model, resolved, context = _model_and_context(model_path, target, order)
     h = infotheory.uncertainty_profile(model, context, resolved)
     i_prof = infotheory.predictability_profile(model, context, resolved)
     optimal = infotheory.optimal_target_placement(model, context, objective, resolved)
@@ -154,12 +160,7 @@ def deplen_cmd(m, g_spec, output):
 @domain_errors
 def conflict_cmd(model_path, target, order, lambdas, output):
     """Dependency cost vs head uncertainty per position, with Pareto front."""
-    model = distributions.load_model(model_path)
-    resolved = infotheory._resolve_target(model, target)
-    if order is None:
-        context = tuple(r for r in model.roles if r != resolved)
-    else:
-        context = tuple(order.split(","))
+    model, resolved, context = _model_and_context(model_path, target, order)
     report = conflict.conflict_report(model, context, resolved)
     front = conflict.pareto_front(report)
     grid = [float(s) for s in lambdas.split(",")]
@@ -216,18 +217,21 @@ def ring_predict_cmd(source, use_ring, filter_name):
 def _kernel_from_config(cfg):
     decay = cfg.get("decay", {"kind": "exponential", "beta": 1.0})
     kind = decay.get("kind", "exponential")
-    if kind == "exponential":
-        param = decay.get("beta", 1.0)
-    elif kind == "inverse_power":
-        param = decay.get("alpha", 1.0)
-    else:
-        param = {int(k): v for k, v in decay.get("weights", {}).items()}
-    return ring.RingKernel(
-        decay_kind=kind,
-        decay_param=param,
-        filters=cfg.get("filters", {}),
-        self_weight=cfg.get("self_weight", 0.0),
-    )
+    try:
+        if kind == "exponential":
+            param = decay.get("beta", 1.0)
+        elif kind == "inverse_power":
+            param = decay.get("alpha", 1.0)
+        else:
+            param = {int(k): v for k, v in decay.get("weights", {}).items()}
+        return ring.RingKernel(
+            decay_kind=kind,
+            decay_param=param,
+            filters=cfg.get("filters", {}),
+            self_weight=cfg.get("self_weight", 0.0),
+        )
+    except ValueError as exc:
+        raise InputParseError(f"bad kernel config: {exc}") from None
 
 
 @ring_group.command("simulate")
@@ -269,6 +273,7 @@ def ring_compare_cmd(dist):
             parsed[ring.as_order(name.strip())] = float(value)
     except (ValueError, KeyError) as exc:
         raise InputParseError(f"bad distribution spec: {exc}") from None
+    distributions.check_mass(parsed.values(), "distribution")
     tv, agreements = ring.compare_to_reference(parsed)
     click.echo(f"total_variation,{repr(tv)}")
     for (a, b), ok in agreements:
@@ -410,9 +415,10 @@ def coding_cmd(input_path, allow_full_reduction, output):
     except (KeyError, ValueError) as exc:
         raise InputParseError(f"bad coding table: {exc}") from None
     lengths = given or list(coding.optimal_lengths(probs, allow_full_reduction))
+    ideal = coding.ideal_lengths(probs)
     out_rows = [
-        (",".join(ctx) if ctx else "", t, repr(p), l, repr(-math.log2(p)))
-        for ctx, t, p, l in zip(contexts, types, probs, lengths)
+        (",".join(ctx) if ctx else "", t, repr(p), l, repr(h))
+        for ctx, t, p, l, h in zip(contexts, types, probs, lengths, ideal)
     ]
     text = _csv_text(("context", "type", "probability", "length", "ideal_length"),
                      out_rows)
@@ -428,11 +434,10 @@ def coding_cmd(input_path, allow_full_reduction, output):
         for y in table.targets():
             text += f"L_n_y,{y},{repr(coding.per_target_length(table, y))}\n"
             text += f"M_n_y,{y},{repr(coding.renormalized_length(table, y))}\n"
-        verdict = coding.abbreviation_check(table)
     else:
         table = coding.TypeTable(probs, lengths, allow_full_reduction)
         text += f"L,{repr(coding.mean_length(table))}\n"
-        verdict = coding.abbreviation_check(table)
+    verdict = coding.abbreviation_check(table)
     tau_repr = "undefined" if verdict.tau is None else repr(verdict.tau)
     text += f"tau,{tau_repr}\n"
     text += f"abbreviation_holds,{int(verdict.holds)}\n"
@@ -476,7 +481,7 @@ def _parse_transition(spec):
 @click.option("--symbol", default=None, help="homogeneous symbol")
 @click.option("--tokens-file", default=None, type=click.Path(exists=True),
               help="empirical token source")
-@click.option("--length", required=True, type=int)
+@click.option("--length", required=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("-o", "--output", type=click.Path(), default=None)
 @domain_errors

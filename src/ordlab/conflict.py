@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deplen
-from .infotheory import (
-    IDENTITY,
-    TIE_TOLERANCE,
-    _check_context_order,
-    _resolve_target,
-    uncertainty_profile,
-)
+from .infotheory import IDENTITY, TIE_TOLERANCE, uncertainty_profile
 
 
 @dataclass(frozen=True)
@@ -28,7 +22,6 @@ class ConflictReport:
     dep_costs: tuple[float, ...]      # indexed by head position 1..m
     uncertainties: tuple[float, ...]  # H(head | first p-1 dependents)
     context_order: tuple[str, ...]
-    model_id: str
 
     def positions(self):
         return range(1, self.m + 1)
@@ -39,16 +32,11 @@ class ConflictReport:
 
 def conflict_report(model, context_order, target=None, transducer=IDENTITY):
     """Cost table over all head positions for one model and dependent order."""
-    target = _resolve_target(model, target)
-    context_order = tuple(context_order)
-    _check_context_order(model, target, context_order)
-    m = len(context_order) + 1
     profile = uncertainty_profile(model, context_order, target)
-    dep_costs = tuple(deplen.dependency_cost(m, p, transducer) for p in range(1, m + 1))
+    m = len(profile)  # the head plus its dependents
+    dep_costs = deplen.landscape(m, transducer).costs
     uncertainties = tuple(profile.values)  # profile[i] with i = p - 1
-    return ConflictReport(
-        m, dep_costs, uncertainties, context_order, model_id=target
-    )
+    return ConflictReport(m, dep_costs, uncertainties, tuple(context_order))
 
 
 def pareto_front(report):

@@ -13,22 +13,6 @@ from .errors import NonMonotoneTransducer, PositionOutOfRange
 from .infotheory import IDENTITY, CostTransducer
 
 
-def _check_placement(m, head_pos):
-    if m < 2:
-        raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
-    if not 1 <= head_pos <= m:
-        raise PositionOutOfRange(f"head position {head_pos} not in 1..{m}")
-
-
-@dataclass(frozen=True)
-class StarPlacement:
-    m: int
-    head_pos: int
-
-    def __post_init__(self):
-        _check_placement(self.m, self.head_pos)
-
-
 @dataclass(frozen=True)
 class DependencyLandscape:
     """Cost per head position 1..m plus a verified quasi-convexity flag."""
@@ -51,13 +35,15 @@ class DependencyLandscape:
 
 def dependency_sum(m, head_pos):
     """Sum of |head_pos - d| over the m - 1 dependent positions."""
-    _check_placement(m, head_pos)
-    return sum(abs(head_pos - d) for d in range(1, m + 1) if d != head_pos)
+    return dependency_cost(m, head_pos)
 
 
 def dependency_cost(m, head_pos, transducer=IDENTITY):
     """Sum of g(|head_pos - d|) for a strictly increasing edge-cost g."""
-    _check_placement(m, head_pos)
+    if m < 2:
+        raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
+    if not 1 <= head_pos <= m:
+        raise PositionOutOfRange(f"head position {head_pos} not in 1..{m}")
     if transducer.direction != "increasing":
         raise NonMonotoneTransducer("edge-cost transducer must be increasing")
     return sum(

@@ -19,6 +19,7 @@ from ._rng import substream
 from .errors import (
     ArityMismatch,
     EmptySequence,
+    InputParseError,
     MassOutOfTolerance,
     NegativeProbability,
     NonStochasticRow,
@@ -26,6 +27,31 @@ from .errors import (
 )
 
 MASS_TOLERANCE = 1e-12
+
+
+def check_mass(values, what, error=MassOutOfTolerance):
+    """Exact sum of ``values``; raises ``error`` unless it is within 1e-12 of 1."""
+    mass = math.fsum(values)
+    if not abs(mass - 1.0) <= MASS_TOLERANCE:  # also rejects nan
+        raise error(f"{what} mass {mass!r} not within 1e-12 of 1")
+    return mass
+
+
+def _check_chain(initial, transition):
+    """Initial and row masses, and a transition row for every reachable state."""
+    check_mass(initial.values(), "initial")
+    for state, row in transition.items():
+        check_mass(row.values(), f"transition row for {state!r}", NonStochasticRow)
+    pending = [s for s, p in initial.items() if p > 0]
+    reached = set(pending)
+    while pending:
+        state = pending.pop()
+        if state not in transition:
+            raise NonStochasticRow(f"no transition row for reachable state {state!r}")
+        for nxt, q in transition[state].items():
+            if q > 0 and nxt not in reached:
+                reached.add(nxt)
+                pending.append(nxt)
 
 
 @dataclass(frozen=True)
@@ -100,9 +126,7 @@ def _validate_and_normalize(roles, alphabets, table, target_role):
                 raise UnknownRole(
                     f"symbol {symbol!r} not in alphabet of role {role!r}"
                 )
-    mass = math.fsum(table.values())
-    if abs(mass - 1.0) > MASS_TOLERANCE:
-        raise MassOutOfTolerance(f"total mass {mass!r} not within 1e-12 of 1")
+    mass = check_mass(table.values(), "total")
     clean = {k: p for k, p in table.items() if p > 0.0}
     if mass != 1.0:
         clean = {k: p / mass for k, p in clean.items()}
@@ -145,9 +169,7 @@ def make_iid(marginal, n_roles, roles=None, target_role=None):
     roles = tuple(roles)
     if len(roles) != n_roles:
         raise ValueError("roles length must equal n_roles")
-    mass = sum(marginal.values())
-    if abs(mass - 1.0) > MASS_TOLERANCE:
-        raise MassOutOfTolerance(f"marginal mass {mass!r} not within 1e-12 of 1")
+    check_mass(marginal.values(), "marginal")
     symbols = tuple(marginal)
     alphabet = Alphabet(symbols)
     table = {}
@@ -163,20 +185,11 @@ def make_markov(initial, transition, length, roles=None, target_role=None):
     """Joint table of a Markov chain: P(x_1..x_m) = pi(x_1) prod A(x_{k-1},x_k)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    states = tuple(initial)
-    mass = sum(initial.values())
-    if abs(mass - 1.0) > MASS_TOLERANCE:
-        raise MassOutOfTolerance(f"initial mass {mass!r} not within 1e-12 of 1")
-    for state, row in transition.items():
-        row_mass = sum(row.values())
-        if abs(row_mass - 1.0) > MASS_TOLERANCE:
-            raise NonStochasticRow(
-                f"transition row for {state!r} sums to {row_mass!r}"
-            )
+    _check_chain(initial, transition)
     if roles is None:
         roles = tuple(f"x{i}" for i in range(1, length + 1))
     roles = tuple(roles)
-    all_states = sorted(set(states) | set(transition))
+    all_states = sorted(set(initial) | set(transition))
     alphabet = Alphabet(tuple(all_states))
     table = {}
 
@@ -191,11 +204,7 @@ def make_markov(initial, transition, length, roles=None, target_role=None):
             extend(prefix + (nxt,), p * q)
 
     for state, p0 in initial.items():
-        if length == 1:
-            if p0 > 0:
-                table[(state,)] = table.get((state,), 0.0) + p0
-        else:
-            extend((state,), p0)
+        extend((state,), p0)
     alphabets = {r: alphabet for r in roles}
     return _validate_and_normalize(roles, alphabets, table, target_role)
 
@@ -233,10 +242,10 @@ class SequenceSource:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
+        if self.kind == "iid":
+            check_mass(self.marginal.values(), "marginal")
         if self.kind == "markov":
-            for state, row in self.transition.items():
-                if abs(sum(row.values()) - 1.0) > MASS_TOLERANCE:
-                    raise NonStochasticRow(f"row for {state!r} does not sum to 1")
+            _check_chain(self.initial, self.transition)
         if self.kind == "periodic" and len(self.block) < 1:
             raise ValueError("periodic block must have length >= 1")
         object.__setattr__(self, "block", tuple(self.block))
@@ -316,10 +325,13 @@ def model_to_json(model):
 
 
 def model_from_json(text):
-    doc = json.loads(text)
-    roles = tuple(doc["roles"])
-    alphabets = {r: Alphabet(tuple(doc["alphabets"][r])) for r in roles}
-    table = {tuple(e["tuple"]): e["p"] for e in doc["entries"]}
+    try:
+        doc = json.loads(text)
+        roles = tuple(doc["roles"])
+        alphabets = {r: Alphabet(tuple(doc["alphabets"][r])) for r in roles}
+        table = {tuple(e["tuple"]): e["p"] for e in doc["entries"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputParseError(f"bad model document: {exc!r}") from None
     return _validate_and_normalize(roles, alphabets, table, doc.get("target"))
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy with stable machine-readable codes.
 
 Every domain error carries a ``code`` attribute that the CLI emits in its
-error records, so scripts can match on codes instead of messages.
+error records, so scripts can match on codes instead of messages.  Errors
+about malformed tables are also ``ValueError``s.
 """
 
 
@@ -15,15 +16,15 @@ class NegativeProbability(OrdlabError):
     code = "negative_probability"
 
 
-class MassOutOfTolerance(OrdlabError):
+class MassOutOfTolerance(OrdlabError, ValueError):
     code = "mass_out_of_tolerance"
 
 
-class ArityMismatch(OrdlabError):
+class ArityMismatch(OrdlabError, ValueError):
     code = "arity_mismatch"
 
 
-class NonStochasticRow(OrdlabError):
+class NonStochasticRow(OrdlabError, ValueError):
     code = "non_stochastic_row"
 
 
@@ -69,6 +70,10 @@ class DegenerateProfile(OrdlabError):
 
 class UnsupportedModelSize(OrdlabError):
     code = "unsupported_model_size"
+
+
+class LengthBelowFloor(OrdlabError, ValueError):
+    code = "length_below_floor"
 
 
 class ZeroProbability(OrdlabError):

@@ -122,7 +122,8 @@ class EntropyProfile:
         return self.values[i]
 
 
-def _resolve_target(model, target):
+def resolve_target(model, target):
+    """The given target, else the model's designated one; must be a model role."""
     target = target if target is not None else model.target_role
     if target is None:
         raise UnknownRole("no target role given and none designated on the model")
@@ -130,37 +131,31 @@ def _resolve_target(model, target):
     return target
 
 
-def _check_context_order(model, target, context_order):
+def _profile(model, context_order, target, measure, kind):
+    """measure(model, target, first i context roles) for i = 0..n."""
+    target = resolve_target(model, target)
+    context_order = tuple(context_order)
     expected = set(model.roles) - {target}
     if set(context_order) != expected or len(context_order) != len(expected):
         raise NotAPermutation(
             f"context order {context_order!r} is not a permutation of the "
             f"non-target roles {sorted(expected)!r}"
         )
+    values = [
+        measure(model, target, context_order[:i])
+        for i in range(len(context_order) + 1)
+    ]
+    return EntropyProfile(values, kind)
 
 
 def uncertainty_profile(model, context_order, target=None):
     """H(Y | first i context roles) for i = 0..n."""
-    target = _resolve_target(model, target)
-    context_order = tuple(context_order)
-    _check_context_order(model, target, context_order)
-    values = [
-        conditional_entropy(model, target, context_order[:i])
-        for i in range(len(context_order) + 1)
-    ]
-    return EntropyProfile(values, "uncertainty")
+    return _profile(model, context_order, target, conditional_entropy, "uncertainty")
 
 
 def predictability_profile(model, context_order, target=None):
     """I(Y; first i context roles) for i = 0..n; the i = 0 entry is 0."""
-    target = _resolve_target(model, target)
-    context_order = tuple(context_order)
-    _check_context_order(model, target, context_order)
-    values = [
-        mutual_information(model, target, context_order[:i])
-        for i in range(len(context_order) + 1)
-    ]
-    return EntropyProfile(values, "predictability")
+    return _profile(model, context_order, target, mutual_information, "predictability")
 
 
 def _optimum_set(values, maximize):

@@ -14,9 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
+    ArityMismatch,
     DegenerateProfile,
     EmptySequence,
     InsufficientData,
@@ -199,7 +199,7 @@ def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
 def uid_spread(sequence, model):
     """Max - min of the conditional probabilities of one concrete sequence."""
     if len(sequence) != len(model.roles):
-        raise ValueError("sequence length must match the model's role count")
+        raise ArityMismatch("sequence length must match the model's role count")
     probs = _chain_conditionals(model, sequence)
     return max(probs) - min(probs)
 
@@ -234,16 +234,16 @@ def hilberg_fit(profile, variant="relaxed"):
     best = None
     for gamma in GAMMA_GRID:
         f = i ** -gamma
-        if variant == "pure":
-            a = max(0.0, float(f @ y) / float(f @ f))
-            b = 0.0
-        else:
+        a, b = max(0.0, float(f @ y) / float(f @ f)), 0.0  # best fit with b = 0
+        if variant == "relaxed":
             design = np.column_stack([f, np.ones_like(f)])
             coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-            a, b = float(coef[0]), float(coef[1])
-            if a < 0 or b < 0:
-                coef, _ = nnls(design, y)
+            if coef[0] >= 0 and coef[1] >= 0:
                 a, b = float(coef[0]), float(coef[1])
+            else:  # the nonnegative optimum lies on the edge b = 0 or a = 0
+                b_edge = max(0.0, float(y.mean()))
+                if np.sum((y - b_edge) ** 2) < np.sum((y - a * f) ** 2):
+                    a, b = 0.0, b_edge
         residual = y - (a * f + b)
         rms = float(np.sqrt(np.mean(residual**2)))
         if best is None or rms < best.rms_residual:

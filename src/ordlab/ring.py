@@ -136,6 +136,8 @@ class RingKernel:
     def __post_init__(self):
         if self.decay_kind not in ("exponential", "inverse_power", "tabulated"):
             raise ValueError(f"unknown decay kind {self.decay_kind!r}")
+        if self.decay_kind == "tabulated" and not {1, 2, 3} <= set(self.decay_param):
+            raise ValueError("tabulated decay needs weights for distances 1, 2 and 3")
         if self.self_weight < 0:
             raise ValueError("self_weight must be >= 0")
         for name in self.filters:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ordlab
 from ordlab import distributions as d
 from ordlab.cli import main
 
@@ -265,3 +270,93 @@ class TestGenAndScramble:
         corpus.write_text("a b c d e f g h\n")
         args = ["scramble", str(corpus), "--seed", "4"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+
+# input files for the error-contract table, referenced as {name} in argv
+BAD_INPUTS = {
+    "no_alphabets": json.dumps({"roles": ["y"], "entries": [{"tuple": ["a"], "p": 1}]}),
+    "no_roles": json.dumps({"alphabets": {"y": ["a"]}, "entries": []}),
+    "no_entries": json.dumps({"roles": ["y"], "alphabets": {"y": ["a"]}}),
+    "two_roles": json.dumps({
+        "roles": ["y", "x1"],
+        "alphabets": {"y": ["a"], "x1": ["a"]},
+        "entries": [{"tuple": ["a", "a"], "p": 1.0}],
+    }),
+    "one_token": "a\n",
+    "tabulated_kernel": json.dumps(
+        {"decay": {"kind": "tabulated", "weights": {"1": 1.0, "3": 0.1}}, "steps": 2}
+    ),
+    "zero_p": "type,probability,length\na,1.0,1\nb,0.0,2\n",
+    "zero_length": "type,probability,length\na,0.5,0\nb,0.5,1\n",
+    "light_types": "type,probability\na,0.5\nb,0.2\n",
+    "light_contexts": "type,probability,length,ctx1\nx,0.5,1,a\ny,0.2,1,b\n",
+}
+
+ERROR_CASES = [
+    (["gen", "--kind", "markov", "--initial", "a:1", "--transition", "a>b:1",
+      "--length", "10"], 1, "non_stochastic_row"),
+    (["gen", "--kind", "homogeneous", "--symbol", "a", "--length", "-1"], 2, None),
+    (["placement", "--model", "{no_alphabets}"], 1, "input_parse_error"),
+    (["conflict", "--model", "{no_roles}"], 1, "input_parse_error"),
+    (["rate", "uid", "--model", "{no_entries}"], 1, "input_parse_error"),
+    (["rate", "uid", "--model", "{two_roles}", "--text", "{one_token}"], 1,
+     "arity_mismatch"),
+    (["ring", "simulate", "--config", "{tabulated_kernel}"], 1, "input_parse_error"),
+    (["coding", "--input", "{zero_p}"], 1, "zero_probability"),
+    (["coding", "--input", "{zero_length}"], 1, "length_below_floor"),
+    (["coding", "--input", "{light_types}"], 1, "mass_out_of_tolerance"),
+    (["coding", "--input", "{light_contexts}"], 1, "mass_out_of_tolerance"),
+    (["gen", "--kind", "iid", "--marginal", "a:0.5,b:0.2", "--length", "5"], 1,
+     "mass_out_of_tolerance"),
+    (["gen", "--kind", "markov", "--initial", "a:0.5", "--transition", "a>a:1",
+      "--length", "5"], 1, "mass_out_of_tolerance"),
+    (["ring", "compare", "--dist", "SOV=5"], 1, "mass_out_of_tolerance"),
+]
+
+
+@pytest.mark.parametrize("argv, status, code", ERROR_CASES)
+def test_error_contract(runner, tmp_path, argv, status, code):
+    paths = {}
+    for name, text in BAD_INPUTS.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    result = runner.invoke(main, [arg.format(**paths) for arg in argv])
+    assert result.exit_code == status
+    assert isinstance(result.exception, SystemExit)  # nothing escaped uncaught
+    assert "Traceback" not in result.stderr
+    if status == 1:
+        record = json.loads(result.stderr)
+        assert set(record) == {"error", "message"}
+        assert record["error"] == code
+
+
+class TestRuntimeDependencies:
+    def run(self, code, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(ordlab.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True)
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, ordlab.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        result = self.run(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ordlab.cli import main\n"
+            "main()"
+        )
+        table = tmp_path / "types.csv"
+        table.write_text("type,probability\nthe,0.5\ncat,0.25\nsat,0.25\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b b a b a a a b b a b " * 20 + "\n")
+        for args in (["coding", "--input", str(table)],
+                     ["rate", "hilberg", str(corpus), "--variant", "relaxed"]):
+            result = self.run(code, *args)
+            assert result.returncode == 0, result.stderr

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import kendalltau
 
 from ordlab import coding
 from ordlab.errors import AllTied, UnknownTarget, ZeroProbability, ZeroTargetMass
@@ -128,16 +129,19 @@ class TestKendallTau:
         with pytest.raises(ValueError):
             coding.kendall_tau([(1.0, 1)])
 
-    @given(st.integers(0, 1000))
-    def test_matches_scipy_on_random_tables(self, seed):
+    @given(st.integers(0, 1000), st.integers(3, 200), st.booleans())
+    def test_matches_scipy_on_random_tables(self, seed, n, tied):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 7))
-        probs = [float(p) for p in rng.dirichlet(np.ones(n))]
-        lengths = coding.optimal_lengths(probs)
-        if len(set(lengths)) == 1:
+        if tied:
+            # few distinct values per column: ties in p, in l and in (p, l)
+            levels = rng.dirichlet(np.ones(int(rng.integers(2, 6))))
+            probs = [float(p) for p in rng.choice(levels, size=n)]
+            lengths = [int(l) for l in rng.integers(1, 5, size=n)]
+        else:
+            probs = [float(p) for p in rng.dirichlet(np.ones(n))]
+            lengths = coding.optimal_lengths(probs)
+        if len(set(probs)) == 1 or len(set(lengths)) == 1:
             return
-        from scipy.stats import kendalltau
-
         want = float(kendalltau(probs, lengths).statistic)
         assert coding.kendall_tau(list(zip(probs, lengths))) == want
 

@@ -1,7 +1,10 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import nnls
 
 from ordlab import distributions as d, rate
 from ordlab.errors import (
@@ -207,6 +210,36 @@ class TestHilberg:
         fit = rate.hilberg_fit(EntropyProfile(values, "rate", strict=False))
         assert fit.a >= 0.0
         assert fit.b >= 0.0
+
+    @settings(deadline=None)  # each example runs two 291-point gamma searches
+    @given(
+        st.integers(0, 300),
+        st.lists(st.integers(-100, 100), min_size=2, max_size=19),
+    )
+    def test_fallback_matches_nnls_reference(self, start, steps):
+        # random-walk profiles on a 0.01 grid; the reference solves every
+        # infeasible gamma with scipy's active-set nnls
+        y = np.cumsum([start, *steps]) / 100.0
+        assume(y.max() - y.min() > 1e-12)
+        i = np.arange(1, len(y) + 1, dtype=float)
+        best, fallback = None, False
+        for gamma in rate.GAMMA_GRID:
+            f = i**-gamma
+            design = np.column_stack([f, np.ones_like(f)])
+            a, b = np.linalg.lstsq(design, y, rcond=None)[0]
+            used = bool(a < 0 or b < 0)
+            if used:
+                a, b = nnls(design, y)[0]
+            rms = float(np.sqrt(np.mean((y - (a * f + b)) ** 2)))
+            if best is None or rms < best[2]:
+                best, fallback = (float(a), float(b), rms, float(gamma)), used
+        assume(fallback)
+        fit = rate.hilberg_fit(EntropyProfile(y, "rate", strict=False))
+        a, b, rms, gamma = best
+        assert fit.gamma == gamma
+        assert abs(fit.a - a) <= 1e-12
+        assert abs(fit.b - b) <= 1e-12
+        assert abs(fit.rms_residual - rms) <= 1e-12
 
     def test_constant_profile_degenerate(self):
         with pytest.raises(DegenerateProfile):
