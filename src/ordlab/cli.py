@@ -58,7 +58,10 @@ def _parse_transducer(spec):
     if spec == "square":
         return CostTransducer("power", (2,))
     if spec.startswith("exp:"):
-        base = float(spec.split(":", 1)[1])
+        try:
+            base = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise InputParseError(f"bad exp base in {spec!r}") from None
         if base <= 1:
             raise InputParseError("exp base must be > 1")
         return CostTransducer("exponential", (math.log(base),))
@@ -245,6 +248,8 @@ def ring_simulate_cmd(config_path, output):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{config_path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InputParseError(f"{config_path}: config must be a JSON object")
     kernel = _kernel_from_config(cfg)
     trajectory = ring.evolve(
         kernel,
@@ -414,6 +419,7 @@ def coding_cmd(input_path, allow_full_reduction, output):
         given = [int(r["length"]) for r in rows] if has_length else None
     except (KeyError, ValueError) as exc:
         raise InputParseError(f"bad coding table: {exc}") from None
+    distributions.check_mass(probs, "coding table")
     lengths = given or list(coding.optimal_lengths(probs, allow_full_reduction))
     ideal = coding.ideal_lengths(probs)
     out_rows = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     MassOutOfTolerance,
     NegativeProbability,
     NonStochasticRow,
+    RoleOverlap,
     UnknownRole,
 )
 
@@ -30,7 +32,14 @@ MASS_TOLERANCE = 1e-12
 
 
 def check_mass(values, what, error=MassOutOfTolerance):
-    """Exact sum of ``values``; raises ``error`` unless it is within 1e-12 of 1."""
+    """Exact sum of ``values``; raises ``error`` unless it is within 1e-12 of 1.
+
+    A negative value raises NegativeProbability, even when the sum is 1.
+    """
+    values = list(values)
+    for v in values:
+        if v < 0:
+            raise NegativeProbability(f"{what} has a negative probability {v!r}")
     mass = math.fsum(values)
     if not abs(mass - 1.0) <= MASS_TOLERANCE:  # also rejects nan
         raise error(f"{what} mass {mass!r} not within 1e-12 of 1")
@@ -113,14 +122,12 @@ class JointSequenceModel:
 def _validate_and_normalize(roles, alphabets, table, target_role):
     roles = tuple(roles)
     if len(set(roles)) != len(roles):
-        raise ValueError("duplicate role labels")
+        raise RoleOverlap(f"duplicate role labels in {roles!r}")
     for key, p in table.items():
         if len(key) != len(roles):
             raise ArityMismatch(
                 f"tuple {key!r} has arity {len(key)}, expected {len(roles)}"
             )
-        if p < 0:
-            raise NegativeProbability(f"P{key!r} = {p}")
         for role, symbol in zip(roles, key):
             if symbol not in alphabets[role].symbols:
                 raise UnknownRole(
@@ -276,19 +283,19 @@ def generate(source, length, seed=None):
         symbols = list(source.marginal)
         probs = [source.marginal[s] for s in symbols]
         idx = rng.choice(len(symbols), size=length, p=probs)
-        return [symbols[i] for i in idx]
+        return [symbols[i] for i in idx.tolist()]
     # markov: precomputed cumulative rows + one batch of uniforms
     states = list(source.initial)
     p0 = [source.initial[s] for s in states]
     out = [states[rng.choice(len(states), p=p0)]]
     rows = {
-        s: (list(row), np.cumsum([row[t] for t in row]))
+        s: (list(row), np.cumsum([row[t] for t in row]).tolist())
         for s, row in source.transition.items()
     }
-    uniforms = rng.random(length - 1)
-    for u in uniforms:
+    # bisect_right on the float64 cumulative row is searchsorted(side="right")
+    for u in rng.random(length - 1).tolist():
         nxt_states, cumulative = rows[out[-1]]
-        out.append(nxt_states[int(np.searchsorted(cumulative, u, side="right"))])
+        out.append(nxt_states[bisect_right(cumulative, u)])
     return out
 
 
@@ -297,7 +304,7 @@ def scramble(sequence, seed):
     rng = substream(seed, "scramble")
     seq = list(sequence)
     perm = rng.permutation(len(seq))
-    return [seq[i] for i in perm]
+    return [seq[i] for i in perm.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +339,9 @@ def model_from_json(text):
         table = {tuple(e["tuple"]): e["p"] for e in doc["entries"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"bad model document: {exc!r}") from None
+    for p in table.values():
+        if not isinstance(p, (int, float)):
+            raise InputParseError(f"bad model document: p = {p!r} is not a number")
     return _validate_and_normalize(roles, alphabets, table, doc.get("target"))
 
 

@@ -12,7 +12,7 @@ class OrdlabError(Exception):
     code = "error"
 
 
-class NegativeProbability(OrdlabError):
+class NegativeProbability(OrdlabError, ValueError):
     code = "negative_probability"
 
 
@@ -32,7 +32,7 @@ class UnknownRole(OrdlabError):
     code = "unknown_role"
 
 
-class RoleOverlap(OrdlabError):
+class RoleOverlap(OrdlabError, ValueError):
     code = "role_overlap"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def ngram_counts(sequence, max_order, cyclic=False):
 
     With ``cyclic=True`` windows wrap around the end of the sequence, which
     makes the counts of a perfectly periodic sequence exact rather than
-    edge-biased.
+    edge-biased.  Each ``Counter`` lists its blocks in order of first
+    occurrence.
     """
     tokens = list(sequence)
     if not tokens:
@@ -50,20 +52,17 @@ def ngram_counts(sequence, max_order, cyclic=False):
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = len(tokens)
+    if cyclic:
+        # append the wrap-around so every window of every order is a slice
+        tokens += list(islice(cycle(tokens), max_order - 1))
     counts = {}
     totals = {}
     for order in range(1, max_order + 1):
-        counter = Counter()
-        if cyclic:
-            for start in range(n):
-                counter[tuple(tokens[(start + k) % n] for k in range(order))] += 1
-            totals[order] = n
-        else:
-            if n >= order:
-                for start in range(n - order + 1):
-                    counter[tuple(tokens[start:start + order])] += 1
-            totals[order] = max(0, n - order + 1)
-        counts[order] = counter
+        windows = n if cyclic else max(0, n - order + 1)
+        counts[order] = Counter(
+            zip(*(islice(tokens, k, k + windows) for k in range(order)))
+        )
+        totals[order] = windows
     return NGramTable(max_order, counts, totals, cyclic)
 
 

@@ -290,6 +290,16 @@ BAD_INPUTS = {
     "zero_length": "type,probability,length\na,0.5,0\nb,0.5,1\n",
     "light_types": "type,probability\na,0.5\nb,0.2\n",
     "light_contexts": "type,probability,length,ctx1\nx,0.5,1,a\ny,0.2,1,b\n",
+    "inf_p": "type,probability\na,inf\nb,0.5\n",
+    "duplicate_roles": json.dumps({
+        "roles": ["y", "y"],
+        "alphabets": {"y": ["a"]},
+        "entries": [{"tuple": ["a", "a"], "p": 1.0}],
+    }),
+    "text_p": json.dumps(
+        {"roles": ["y"], "alphabets": {"y": ["a"]}, "entries": [{"tuple": ["a"], "p": "1"}]}
+    ),
+    "list_config": json.dumps([{"steps": 2}]),
 }
 
 ERROR_CASES = [
@@ -311,6 +321,15 @@ ERROR_CASES = [
     (["gen", "--kind", "markov", "--initial", "a:0.5", "--transition", "a>a:1",
       "--length", "5"], 1, "mass_out_of_tolerance"),
     (["ring", "compare", "--dist", "SOV=5"], 1, "mass_out_of_tolerance"),
+    (["gen", "--kind", "markov", "--initial", "a:1", "--transition",
+      "a>a:1.5,a>b:-0.5;b>b:1", "--length", "5"], 1, "negative_probability"),
+    (["gen", "--kind", "iid", "--marginal", "a:1.5,b:-0.5", "--length", "5"], 1,
+     "negative_probability"),
+    (["coding", "--input", "{inf_p}"], 1, "mass_out_of_tolerance"),
+    (["placement", "--model", "{duplicate_roles}"], 1, "role_overlap"),
+    (["rate", "uid", "--model", "{text_p}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{list_config}"], 1, "input_parse_error"),
+    (["deplen", "--m", "5", "--g", "exp:abc"], 1, "input_parse_error"),
 ]
 
 

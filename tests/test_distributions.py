@@ -1,10 +1,12 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ordlab import distributions as d
+from ordlab._rng import substream
 from ordlab.errors import (
     ArityMismatch,
     MassOutOfTolerance,
@@ -36,6 +38,16 @@ class TestMakeJoint:
     def test_negative_probability(self):
         with pytest.raises(NegativeProbability):
             d.make_joint(("t",), {("a",): 1.1, ("b",): -0.1})
+
+    @pytest.mark.parametrize("build", [
+        lambda: d.make_iid({"a": 1.5, "b": -0.5}, 2),
+        lambda: d.make_markov({"a": 1.5, "b": -0.5}, {"a": {"a": 1}, "b": {"b": 1}}, 2),
+        lambda: d.make_markov({"a": 1}, {"a": {"a": 1.5, "b": -0.5}, "b": {"b": 1}}, 2),
+        lambda: d.SequenceSource(kind="iid", marginal={"a": 1.5, "b": -0.5}),
+    ])
+    def test_negative_probability_summing_to_one(self, build):
+        with pytest.raises(NegativeProbability):
+            build()
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -115,7 +127,51 @@ class TestMarginalize:
             d.marginalize(m, ("nope",))
 
 
+def reference_markov_walk(source, length, seed):
+    """searchsorted walk that generate replaced, on the same substream."""
+    if length == 0:
+        return []
+    rng = substream(seed, "generate", "markov")
+    states = list(source.initial)
+    out = [states[rng.choice(len(states), p=[source.initial[s] for s in states])]]
+    rows = {
+        s: (list(row), np.cumsum([row[t] for t in row]))
+        for s, row in source.transition.items()
+    }
+    for u in rng.random(length - 1):
+        nxt_states, cumulative = rows[out[-1]]
+        out.append(nxt_states[int(np.searchsorted(cumulative, u, side="right"))])
+    return out
+
+
+def _distribution(draw, symbols):
+    """Normalized weights over ``symbols``, zeros included, at least one positive."""
+    weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5, 7.0]),
+                            min_size=len(symbols), max_size=len(symbols)))
+    if not any(weights):
+        weights[draw(st.integers(0, len(symbols) - 1))] = 1.0
+    total = math.fsum(weights)
+    return {s: w / total for s, w in zip(symbols, weights)}
+
+
+@st.composite
+def markov_sources(draw):
+    symbols = [f"s{i}" for i in range(draw(st.integers(1, 6)))]
+    return d.SequenceSource(
+        kind="markov",
+        initial=_distribution(draw, symbols),
+        transition={s: _distribution(draw, symbols) for s in symbols},
+    )
+
+
 class TestGenerate:
+    @given(markov_sources(), st.sampled_from([0, 1, 2, 3, 50, 400]),
+           st.integers(0, 2**32))
+    def test_markov_matches_searchsorted_walk(self, source, length, seed):
+        assert d.generate(source, length, seed) == reference_markov_walk(
+            source, length, seed
+        )
+
     def test_homogeneous(self):
         src = d.SequenceSource(kind="homogeneous", symbol="a")
         assert d.generate(src, 4) == ["a", "a", "a", "a"]

@@ -16,7 +16,45 @@ from ordlab.errors import (
 from ordlab.infotheory import EntropyProfile
 
 
+def reference_ngram_counts(sequence, max_order, cyclic):
+    """Per-window loop that ngram_counts replaced, kept as its oracle."""
+    tokens = list(sequence)
+    n = len(tokens)
+    counts, totals = {}, {}
+    for order in range(1, max_order + 1):
+        counter = Counter()
+        if cyclic:
+            for start in range(n):
+                counter[tuple(tokens[(start + k) % n] for k in range(order))] += 1
+            totals[order] = n
+        else:
+            for start in range(n - order + 1):
+                counter[tuple(tokens[start:start + order])] += 1
+            totals[order] = max(0, n - order + 1)
+        counts[order] = counter
+    return counts, totals
+
+
+@st.composite
+def token_sequences(draw):
+    if draw(st.booleans()):
+        return draw(st.text("abcd", min_size=1, max_size=40))
+    vocabulary = draw(st.integers(1, 5000))
+    codes = draw(st.lists(st.integers(0, vocabulary - 1), min_size=1, max_size=200))
+    return [f"w{c}" for c in codes]
+
+
 class TestNgramCounts:
+    @given(token_sequences(), st.integers(1, 9), st.booleans())
+    def test_matches_per_window_loop(self, sequence, max_order, cyclic):
+        table = rate.ngram_counts(sequence, max_order, cyclic=cyclic)
+        counts, totals = reference_ngram_counts(sequence, max_order, cyclic)
+        assert list(table.counts) == list(counts)
+        for order in counts:  # same blocks, counts and first-occurrence order
+            assert list(table.counts[order].items()) == list(counts[order].items())
+        assert table.total_positions == totals
+        assert (table.max_order, table.cyclic) == (max_order, cyclic)
+
     def test_linear_windows(self):
         table = rate.ngram_counts("abab", 2)
         assert table.counts[1] == Counter({("a",): 2, ("b",): 2})
