@@ -62,8 +62,8 @@ def _parse_transducer(spec):
             base = float(spec.split(":", 1)[1])
         except ValueError:
             raise InputParseError(f"bad exp base in {spec!r}") from None
-        if base <= 1:
-            raise InputParseError("exp base must be > 1")
+        if not (math.isfinite(base) and base > 1):
+            raise InputParseError(f"exp base must be a finite number > 1, not {base!r}")
         return CostTransducer("exponential", (math.log(base),))
     raise InputParseError(f"unknown transducer spec {spec!r}")
 
@@ -219,6 +219,8 @@ def ring_predict_cmd(source, use_ring, filter_name):
 
 def _kernel_from_config(cfg):
     decay = cfg.get("decay", {"kind": "exponential", "beta": 1.0})
+    if not isinstance(decay, dict):
+        raise InputParseError(f"bad kernel config: decay {decay!r} is not an object")
     kind = decay.get("kind", "exponential")
     try:
         if kind == "exponential":
@@ -226,7 +228,10 @@ def _kernel_from_config(cfg):
         elif kind == "inverse_power":
             param = decay.get("alpha", 1.0)
         else:
-            param = {int(k): v for k, v in decay.get("weights", {}).items()}
+            weights = decay.get("weights", {})
+            if not isinstance(weights, dict):
+                raise ValueError(f"tabulated weights {weights!r} are not an object")
+            param = {int(k): v for k, v in weights.items()}
         return ring.RingKernel(
             decay_kind=kind,
             decay_param=param,
@@ -235,6 +240,19 @@ def _kernel_from_config(cfg):
         )
     except ValueError as exc:
         raise InputParseError(f"bad kernel config: {exc}") from None
+
+
+def _config_int(cfg, name, default, minimum=None):
+    value = cfg.get(name, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputParseError(
+            f"config {name!r} = {value!r} is not an integer"
+        ) from None
+    if minimum is not None and number < minimum:
+        raise InputParseError(f"config {name!r} = {number} must be >= {minimum}")
+    return number
 
 
 @ring_group.command("simulate")
@@ -251,12 +269,17 @@ def ring_simulate_cmd(config_path, output):
     if not isinstance(cfg, dict):
         raise InputParseError(f"{config_path}: config must be a JSON object")
     kernel = _kernel_from_config(cfg)
+    start = cfg.get("start", "SOV")
+    try:
+        start = ring.as_order(start)
+    except ValueError:
+        raise InputParseError(f"bad start order {start!r}") from None
     trajectory = ring.evolve(
         kernel,
-        cfg.get("start", "SOV"),
-        int(cfg.get("steps", 1)),
-        int(cfg.get("ensemble_size", 1000)),
-        int(cfg.get("seed", 0)),
+        start,
+        _config_int(cfg, "steps", 1, minimum=0),
+        _config_int(cfg, "ensemble_size", 1000, minimum=1),
+        _config_int(cfg, "seed", 0),
     )
     header = ["step"] + [str(o) for o in ring.ORDERS]
     rows = [

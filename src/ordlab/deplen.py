@@ -7,9 +7,10 @@ strictly increasing function of the head-dependent distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import NonMonotoneTransducer, PositionOutOfRange
+from .errors import CostOverflow, NonMonotoneTransducer, PositionOutOfRange
 from .infotheory import IDENTITY, CostTransducer
 
 
@@ -46,9 +47,12 @@ def dependency_cost(m, head_pos, transducer=IDENTITY):
         raise PositionOutOfRange(f"head position {head_pos} not in 1..{m}")
     if transducer.direction != "increasing":
         raise NonMonotoneTransducer("edge-cost transducer must be increasing")
-    return sum(
+    total = sum(
         transducer(abs(head_pos - d)) for d in range(1, m + 1) if d != head_pos
     )
+    if isinstance(total, float) and not math.isfinite(total):
+        raise CostOverflow(f"cost at head position {head_pos} of m={m} is {total!r}")
+    return total
 
 
 def min_dependency_sum(m):

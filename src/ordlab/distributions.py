@@ -12,7 +12,8 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +87,25 @@ class Alphabet:
         return self.symbols.index(symbol)
 
 
+class Grouping(NamedTuple):
+    """Rows of a model's table grouped by their symbols on some roles.
+
+    ``first`` is the table row where each group first occurs, ``inverse``
+    the group of every row and ``mass`` each group's probability, summed in
+    table order.
+    """
+
+    first: np.ndarray
+    inverse: np.ndarray
+    mass: np.ndarray
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class JointSequenceModel:
     """Sparse exact joint table over named roles.
@@ -93,12 +113,18 @@ class JointSequenceModel:
     ``table`` maps full symbol tuples (one symbol per role, in role order)
     to probabilities.  Zero-probability tuples are omitted.  Immutable after
     construction; safe for concurrent reads.
+
+    Exact quantities come from integer codes of the table (one alphabet
+    index per role and row, in table order) and from one grouping of those
+    rows per role tuple.  Both are derived lazily on first use and memoised
+    on the model; concurrent readers may at worst compute one twice.
     """
 
     roles: tuple[str, ...]
     alphabets: dict[str, Alphabet]
     table: dict[tuple[str, ...], float]
     target_role: str | None = None
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def role_index(self, role):
         try:
@@ -106,17 +132,65 @@ class JointSequenceModel:
         except ValueError:
             raise UnknownRole(f"unknown role {role!r}") from None
 
-    def marginal(self, roles):
-        """Summed-out table keeping only ``roles`` (in the given order)."""
-        idx = [self.role_index(r) for r in roles]
-        out: dict[tuple[str, ...], float] = {}
-        for key, p in self.table.items():
-            sub = tuple(key[i] for i in idx)
-            out[sub] = out.get(sub, 0.0) + p
-        return out
+    def _codes(self):
+        """(K, n_roles) int64 alphabet indices and float64 probabilities."""
+        codes = self._memo.get("codes")
+        if codes is None:
+            k = len(self.table)
+            codes = np.empty((len(self.roles), k), np.int64)
+            for j, (role, column) in enumerate(zip(self.roles, zip(*self.table))):
+                index = {s: i for i, s in enumerate(self.alphabets[role].symbols)}
+                try:
+                    codes[j] = np.fromiter(map(index.__getitem__, column), np.int64, k)
+                except KeyError as exc:
+                    raise UnknownRole(
+                        f"symbol {exc.args[0]!r} not in alphabet of role {role!r}"
+                    ) from None
+            probs = np.fromiter(self.table.values(), np.float64, k)
+            codes = self._memo["codes"] = _frozen(codes.T, probs)
+        return codes
 
-    def support(self):
-        return self.table.keys()
+    def grouping(self, roles):
+        """The :class:`Grouping` of the table rows by their ``roles`` symbols.
+
+        A role tuple's group codes are its prefix's group index times the
+        last role's alphabet size plus that role's code, so the codes stay
+        below K times an alphabet size however many roles there are.
+        """
+        return self._grouping(tuple(self.role_index(r) for r in roles))
+
+    def _grouping(self, idx):
+        group = self._memo.get(idx)
+        if group is None:
+            codes, probs = self._codes()
+            if idx:
+                radix = len(self.alphabets[self.roles[idx[-1]]])
+                ids = self._grouping(idx[:-1]).inverse * radix + codes[:, idx[-1]]
+                _, first, inverse = np.unique(ids, return_index=True,
+                                              return_inverse=True)
+            else:
+                first = np.zeros(min(1, len(probs)), np.intp)
+                inverse = np.zeros(len(probs), np.intp)
+            # bincount adds the weights one by one in row order, as the
+            # running sums out[key] = out.get(key, 0.0) + p would
+            mass = np.bincount(inverse, weights=probs, minlength=len(first))
+            group = self._memo[idx] = Grouping(*_frozen(first, inverse, mass))
+        return group
+
+    def marginal(self, roles):
+        """Summed-out table keeping only ``roles`` (in the given order).
+
+        Keys appear in order of first occurrence in ``table``; the dict is
+        the caller's own.
+        """
+        idx = tuple(self.role_index(r) for r in roles)
+        group = self._grouping(idx)
+        order = np.argsort(group.first)
+        keys = list(self.table)
+        return {
+            tuple(keys[row][i] for i in idx): p
+            for row, p in zip(group.first[order].tolist(), group.mass[order].tolist())
+        }
 
 
 def _validate_and_normalize(roles, alphabets, table, target_role):

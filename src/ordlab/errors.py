@@ -48,6 +48,10 @@ class PositionOutOfRange(OrdlabError):
     code = "position_out_of_range"
 
 
+class CostOverflow(OrdlabError):
+    code = "cost_overflow"
+
+
 class UnsupportedSource(OrdlabError):
     code = "unsupported_source"
 

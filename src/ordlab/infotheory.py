@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    CostOverflow,
     NonMonotoneTransducer,
     NotAPermutation,
     RoleOverlap,
@@ -23,17 +24,11 @@ TIE_TOLERANCE = 1e-9
 CMI_CLAMP = 1e-12
 
 
-def _entropy_of_table(table):
-    # 0 * log 0 == 0 by convention; zero entries are absent from the table
-    return -math.fsum(p * math.log2(p) for p in table.values() if p > 0.0)
-
-
 def entropy(model, roles):
     """Shannon entropy H (bits) of the marginal over ``roles``."""
-    roles = tuple(roles)
-    for r in roles:
-        model.role_index(r)
-    return _entropy_of_table(model.marginal(roles))
+    masses = model.grouping(tuple(roles)).mass.tolist()
+    # 0 * log 0 == 0 by convention; fsum's exact sum does not depend on order
+    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
 
 
 def conditional_entropy(model, target_role, context_roles):
@@ -242,17 +237,22 @@ class CostTransducer:
         raise ValueError(f"unknown transducer kind {self.kind!r}")
 
     def __call__(self, x):
-        if self.kind == "identity":
-            return x
-        if self.kind == "affine":
-            a, b = self.params
-            return a * x + b
-        if self.kind == "power":
-            (k,) = self.params
-            return x**k
-        if self.kind == "exponential":
-            (rate,) = self.params
-            return math.exp(rate * x)
+        try:
+            if self.kind == "identity":
+                return x
+            if self.kind == "affine":
+                a, b = self.params
+                return a * x + b
+            if self.kind == "power":
+                (k,) = self.params
+                return x**k
+            if self.kind == "exponential":
+                (rate,) = self.params
+                return math.exp(rate * x)
+        except OverflowError:
+            raise CostOverflow(
+                f"{self.kind}{self.params!r} at {x!r} overflows a float"
+            ) from None
         # tabulated: linear interpolation, clamped extrapolation by end slopes
         xs, ys = self.params
         if x <= xs[0]:

@@ -156,19 +156,6 @@ class UidClassification:
     offending_sequence: tuple | None
 
 
-def _chain_conditionals(model, sequence):
-    probs = []
-    for i in range(len(model.roles)):
-        prefix_roles = model.roles[: i + 1]
-        joint = model.marginal(prefix_roles).get(tuple(sequence[: i + 1]), 0.0)
-        if i == 0:
-            probs.append(joint)
-        else:
-            prev = model.marginal(model.roles[:i]).get(tuple(sequence[:i]), 0.0)
-            probs.append(joint / prev if prev > 0 else 0.0)
-    return probs
-
-
 def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
     """Classify a joint model as full_uid / strong_uid / neither.
 
@@ -176,19 +163,34 @@ def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
     along its positions.  full: strong, and the support is the whole
     Cartesian product of the per-position alphabets.
     """
+    if not model.roles:
+        raise ArityMismatch("a model without roles has no conditional probabilities")
     cardinality = math.prod(len(model.alphabets[r]) for r in model.roles)
     if cardinality > enumeration_cap:
         raise UnsupportedModelSize(
             f"support enumeration over {cardinality} tuples exceeds the cap"
         )
+    # conditionals P(x_i | x_<i) = P(x_<=i) / P(x_<i) of every table row
+    highest = lowest = prev = None
+    for i in range(1, len(model.roles) + 1):
+        group = model.grouping(model.roles[:i])
+        joint = group.mass[group.inverse]
+        if prev is None:
+            highest = lowest = joint
+        else:
+            conditional = np.divide(joint, prev, out=np.zeros_like(joint),
+                                    where=prev > 0)
+            highest = np.maximum(highest, conditional)
+            lowest = np.minimum(lowest, conditional)
+        prev = joint
+    spreads = highest - lowest
     worst = 0.0
     offender = None
-    for sequence in model.support():
-        probs = _chain_conditionals(model, sequence)
-        spread = max(probs) - min(probs)
-        if spread > worst:
-            worst = spread
-            offender = sequence
+    if len(spreads):
+        row = int(np.argmax(spreads))  # the first row reaching the maximum
+        if spreads[row] > 0.0:
+            worst = float(spreads[row])
+            offender = next(islice(model.table, row, None))
     if worst > tolerance:
         return UidClassification("neither", worst, offender)
     full_support = len(model.table) == cardinality
@@ -197,9 +199,17 @@ def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
 
 def uid_spread(sequence, model):
     """Max - min of the conditional probabilities of one concrete sequence."""
+    if not model.roles:
+        raise ArityMismatch("a model without roles has no conditional probabilities")
     if len(sequence) != len(model.roles):
         raise ArityMismatch("sequence length must match the model's role count")
-    probs = _chain_conditionals(model, sequence)
+    masses = [
+        model.marginal(model.roles[:i]).get(tuple(sequence[:i]), 0.0)
+        for i in range(1, len(sequence) + 1)
+    ]
+    probs = masses[:1] + [
+        joint / prev if prev > 0 else 0.0 for prev, joint in zip(masses, masses[1:])
+    ]
     return max(probs) - min(probs)
 
 

@@ -11,6 +11,8 @@ reference frequency dataset embedded below.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,13 +138,30 @@ class RingKernel:
     def __post_init__(self):
         if self.decay_kind not in ("exponential", "inverse_power", "tabulated"):
             raise ValueError(f"unknown decay kind {self.decay_kind!r}")
-        if self.decay_kind == "tabulated" and not {1, 2, 3} <= set(self.decay_param):
-            raise ValueError("tabulated decay needs weights for distances 1, 2 and 3")
+        if self.decay_kind == "tabulated":
+            if not (isinstance(self.decay_param, dict)
+                    and {1, 2, 3} <= set(self.decay_param)):
+                raise ValueError(
+                    "tabulated decay needs weights for distances 1, 2 and 3"
+                )
+            params = self.decay_param.values()
+        else:
+            params = [self.decay_param]
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in params):
+            raise ValueError(
+                f"decay parameter {self.decay_param!r} is not a finite number"
+            )
+        if not isinstance(self.self_weight, numbers.Real):
+            raise ValueError(f"self_weight {self.self_weight!r} is not numeric")
         if self.self_weight < 0:
             raise ValueError("self_weight must be >= 0")
-        for name in self.filters:
+        if not isinstance(self.filters, dict):
+            raise ValueError(f"filters {self.filters!r} are not a mapping")
+        for name, weight in self.filters.items():
             if name not in FILTER_SETS:
                 raise ValueError(f"unknown filter {name!r}")
+            if not isinstance(weight, numbers.Real):
+                raise ValueError(f"filter weight {weight!r} is not numeric")
 
     def decay(self, distance):
         if self.decay_kind == "exponential":

@@ -300,6 +300,14 @@ BAD_INPUTS = {
         {"roles": ["y"], "alphabets": {"y": ["a"]}, "entries": [{"tuple": ["a"], "p": "1"}]}
     ),
     "list_config": json.dumps([{"steps": 2}]),
+    "no_role_model": json.dumps(
+        {"roles": [], "alphabets": {}, "entries": [{"tuple": [], "p": 1}]}
+    ),
+    "number_decay": json.dumps({"decay": 5}),
+    "negative_steps": json.dumps({"steps": -1}),
+    "empty_ensemble": json.dumps({"ensemble_size": 0}),
+    "text_steps": json.dumps({"steps": "x"}),
+    "text_beta": json.dumps({"decay": {"kind": "exponential", "beta": "x"}}),
 }
 
 ERROR_CASES = [
@@ -330,6 +338,15 @@ ERROR_CASES = [
     (["rate", "uid", "--model", "{text_p}"], 1, "input_parse_error"),
     (["ring", "simulate", "--config", "{list_config}"], 1, "input_parse_error"),
     (["deplen", "--m", "5", "--g", "exp:abc"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{number_decay}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{negative_steps}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{empty_ensemble}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{text_steps}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{text_beta}"], 1, "input_parse_error"),
+    (["deplen", "--m", "3", "--g", "exp:inf"], 1, "input_parse_error"),
+    (["deplen", "--m", "3", "--g", "exp:nan"], 1, "input_parse_error"),
+    (["deplen", "--m", "1100", "--g", "exp:2"], 1, "cost_overflow"),
+    (["rate", "uid", "--model", "{no_role_model}"], 1, "arity_mismatch"),
 ]
 
 

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from ordlab import deplen
-from ordlab.errors import NonMonotoneTransducer, PositionOutOfRange
+from ordlab.errors import CostOverflow, NonMonotoneTransducer, PositionOutOfRange
 from ordlab.infotheory import CostTransducer
 
 SQUARE = CostTransducer("power", (2.0,))
@@ -99,3 +101,14 @@ class TestLandscape:
         land = deplen.landscape(4)
         assert land.min_positions() == {2, 3}
         assert land.max_positions() == {1, 4}
+
+    @pytest.mark.parametrize("m", [1024, 1100])
+    def test_overflowing_cost_raises(self, m):
+        # exp(ln 2 * 1024) overflows in math.exp; at m = 1024 the sum of
+        # 2^1..2^1023 rounds to inf
+        with pytest.raises(CostOverflow):
+            deplen.landscape(m, CostTransducer("exponential", (math.log(2.0),)))
+
+    def test_largest_finite_exp2_landscape(self):
+        land = deplen.landscape(1023, CostTransducer("exponential", (math.log(2.0),)))
+        assert land.max_positions() == {1, 1023}

@@ -163,6 +163,20 @@ class TestKernel:
         with pytest.raises(ValueError):
             ring.RingKernel(filters={"typo": 1.0})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"decay_param": "x"},
+        {"decay_param": float("nan")},
+        {"decay_kind": "inverse_power", "decay_param": None},
+        {"decay_kind": "tabulated", "decay_param": 1.0},
+        {"decay_kind": "tabulated", "decay_param": {1: 1.0, 2: "x", 3: 1.0}},
+        {"self_weight": "x"},
+        {"filters": ["dlm"]},
+        {"filters": {"dlm": "x"}},
+    ])
+    def test_malformed_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ring.RingKernel(**kwargs)
+
 
 class TestEvolve:
     def test_reproducible(self):
