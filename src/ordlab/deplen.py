@@ -7,8 +7,13 @@ strictly increasing function of the head-dependent distance.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .errors import CostOverflow, NonMonotoneTransducer, PositionOutOfRange
 from .infotheory import IDENTITY, CostTransducer
@@ -39,20 +44,30 @@ def dependency_sum(m, head_pos):
     return dependency_cost(m, head_pos)
 
 
-def dependency_cost(m, head_pos, transducer=IDENTITY):
-    """Sum of g(|head_pos - d|) for a strictly increasing edge-cost g."""
+def _check_args(m, transducer, head_pos=1):
     if m < 2:
         raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
     if not 1 <= head_pos <= m:
         raise PositionOutOfRange(f"head position {head_pos} not in 1..{m}")
     if transducer.direction != "increasing":
         raise NonMonotoneTransducer("edge-cost transducer must be increasing")
-    total = sum(
-        transducer(abs(head_pos - d)) for d in range(1, m + 1) if d != head_pos
-    )
+
+
+def _check_finite(m, head_pos, total):
     if isinstance(total, float) and not math.isfinite(total):
         raise CostOverflow(f"cost at head position {head_pos} of m={m} is {total!r}")
     return total
+
+
+def dependency_cost(m, head_pos, transducer=IDENTITY):
+    """Sum of g(|head_pos - d|) for a strictly increasing edge-cost g.
+
+    The terms are added left to right in position order d = 1..m (an
+    explicit fold: float ``sum()`` is compensated from CPython 3.12 on).
+    """
+    _check_args(m, transducer, head_pos)
+    terms = (transducer(abs(head_pos - d)) for d in range(1, m + 1) if d != head_pos)
+    return _check_finite(m, head_pos, reduce(operator.add, terms, 0))
 
 
 def min_dependency_sum(m):
@@ -87,7 +102,46 @@ def _is_quasi_convex(costs):
     return True
 
 
+def _float_costs(m, values):
+    # mirrored edge costs h[m - 1 + j] = g(|j|), with -0.0 (an exact additive
+    # identity) at the head's own position; the slice for d adds g(|p - d|)
+    # to every row p, so each row receives its terms in position order
+    g = np.array(values)
+    h = np.empty(2 * m - 1)
+    h[m:] = g
+    h[:m - 1] = g[::-1]
+    h[m - 1] = -0.0
+    acc = np.zeros(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, m + 1):
+            acc += h[m - d:2 * m - d]
+    bad = np.flatnonzero(~np.isfinite(acc))
+    if bad.size:
+        _check_finite(m, int(bad[0]) + 1, float(acc[bad[0]]))
+    return tuple(acc.tolist())
+
+
 def landscape(m, transducer=IDENTITY):
-    """Full per-position cost list with an exhaustive quasi-convexity check."""
-    costs = tuple(dependency_cost(m, p, transducer) for p in range(1, m + 1))
+    """Full per-position cost list with an exhaustive quasi-convexity check.
+
+    Equals ``dependency_cost`` at every position.  The transducer is called
+    once per distance, g(1) .. g(m - 1), in that order.  Integer edge costs
+    give exact integer costs from prefix sums; float costs are summed in
+    position order, one vectorised sweep per position d, so every cost has
+    the same bits as the left-to-right fold.
+    """
+    _check_args(m, transducer)
+    values = [transducer(x) for x in range(1, m)]
+    if all(type(v) is int for v in values):
+        prefix = list(itertools.accumulate(values, initial=0))
+        costs = tuple(prefix[p - 1] + prefix[m - p] for p in range(1, m + 1))
+    elif all(type(v) is float for v in values):
+        costs = _float_costs(m, values)
+    else:
+        # other numeric types keep their own arithmetic: fold each row
+        rows = (values[:p - 1][::-1] + values[:m - p] for p in range(1, m + 1))
+        costs = tuple(
+            _check_finite(m, p, reduce(operator.add, row, 0))
+            for p, row in enumerate(rows, 1)
+        )
     return DependencyLandscape(m, costs, transducer, _is_quasi_convex(costs))

@@ -308,6 +308,19 @@ BAD_INPUTS = {
     "empty_ensemble": json.dumps({"ensemble_size": 0}),
     "text_steps": json.dumps({"steps": "x"}),
     "text_beta": json.dumps({"decay": {"kind": "exponential", "beta": "x"}}),
+    "overflowing_beta": json.dumps({"decay": {"beta": -1000}}),
+    "negative_filter": json.dumps({"filters": {"dlm": -1}}),
+    "nan_filter": json.dumps({"filters": {"dlm": float("nan")}}),
+    "overflowing_filters": json.dumps(
+        {"filters": {"dlm": 1e308, "agent_first": 1e308}}
+    ),
+    "overflowing_alpha": json.dumps(
+        {"decay": {"kind": "inverse_power", "alpha": -2000}}
+    ),
+    "negative_tabulated": json.dumps(
+        {"decay": {"kind": "tabulated", "weights": {"1": 1, "2": -0.1, "3": 0.1}}}
+    ),
+    "nan_self_weight": json.dumps({"self_weight": float("nan")}),
 }
 
 ERROR_CASES = [
@@ -347,6 +360,14 @@ ERROR_CASES = [
     (["deplen", "--m", "3", "--g", "exp:nan"], 1, "input_parse_error"),
     (["deplen", "--m", "1100", "--g", "exp:2"], 1, "cost_overflow"),
     (["rate", "uid", "--model", "{no_role_model}"], 1, "arity_mismatch"),
+    (["ring", "simulate", "--config", "{overflowing_beta}"], 1, "degenerate_row"),
+    (["ring", "simulate", "--config", "{negative_filter}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{nan_filter}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{overflowing_filters}"], 1, "degenerate_row"),
+    (["ring", "simulate", "--config", "{overflowing_alpha}"], 1, "degenerate_row"),
+    (["ring", "simulate", "--config", "{negative_tabulated}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{nan_self_weight}"], 1, "input_parse_error"),
+    (["deplen", "--m", "0"], 1, "position_out_of_range"),
 ]
 
 

@@ -102,6 +102,11 @@ class TestLandscape:
         assert land.min_positions() == {2, 3}
         assert land.max_positions() == {1, 4}
 
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_short_sequence_rejected(self, m):
+        with pytest.raises(PositionOutOfRange):
+            deplen.landscape(m)
+
     @pytest.mark.parametrize("m", [1024, 1100])
     def test_overflowing_cost_raises(self, m):
         # exp(ln 2 * 1024) overflows in math.exp; at m = 1024 the sum of

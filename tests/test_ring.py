@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -172,10 +173,41 @@ class TestKernel:
         {"self_weight": "x"},
         {"filters": ["dlm"]},
         {"filters": {"dlm": "x"}},
+        {"filters": {"dlm": -1.0}},
+        {"filters": {"dlm": float("nan")}},
+        {"filters": {"agent_first": float("inf")}},
+        {"self_weight": float("nan")},
+        {"self_weight": float("inf")},
+        {"decay_kind": "tabulated", "decay_param": {1: 1.0, 2: -0.1, 3: 0.1}},
     ])
     def test_malformed_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ring.RingKernel(**kwargs)
+
+    @pytest.mark.parametrize("kernel", [
+        ring.RingKernel(decay_param=-1000.0),
+        ring.RingKernel(decay_kind="inverse_power", decay_param=-2000.0),
+        ring.RingKernel(filters={"dlm": 1e308, "agent_first": 1e308}),
+        ring.RingKernel(decay_kind="tabulated",
+                        decay_param={1: 1e308, 2: 1e308, 3: 1e308}),
+    ])
+    def test_overflowing_row_is_degenerate(self, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(DegenerateRow, match="overflow"):
+                ring.transition_matrix(kernel)
+
+    @pytest.mark.parametrize("kernel", [
+        ring.RingKernel(decay_param=0.3, filters={"dlm": 0.0, "agent_first": 4.0}),
+        ring.RingKernel(decay_kind="tabulated", decay_param={1: 0.0, 2: 1.0, 3: 0.0},
+                        self_weight=0.5),
+        ring.RingKernel(decay_param=744.0),
+    ])
+    def test_rows_are_valid_probability_rows(self, kernel):
+        # what rng.choice used to check on every draw
+        matrix = ring.transition_matrix(kernel)
+        assert np.isfinite(matrix).all() and (matrix >= 0).all()
+        assert np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestEvolve:

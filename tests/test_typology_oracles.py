@@ -1,0 +1,251 @@
+"""Oracles for the typology path: landscapes and ring evolution.
+
+``deplen.landscape`` and ``ring.evolve`` are checked for exact equality
+(values, types and random streams) against the straightforward algorithms
+they replace: a per-position sum over every dependent, and per-chain
+sampling with ``rng.choice``.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ordlab import deplen, ring
+from ordlab.errors import CostOverflow
+from ordlab.infotheory import IDENTITY, CostTransducer
+
+# ---------------------------------------------------------------------------
+# landscapes
+
+
+def reference_landscape(m, g):
+    """One left-to-right sum per head position, over d = 1..m."""
+    g = functools.lru_cache(maxsize=None)(g)  # the summation order is the point
+    costs = []
+    for p in range(1, m + 1):
+        total = 0
+        for d in range(1, m + 1):
+            if d != p:
+                total = total + g(abs(p - d))
+        if isinstance(total, float) and not math.isfinite(total):
+            raise CostOverflow(f"cost at head position {p} of m={m} is {total!r}")
+        costs.append(total)
+    return tuple(costs)
+
+
+def exp_base(base):
+    return CostTransducer("exponential", (math.log(base),))
+
+
+TRANSDUCERS = {
+    "identity": IDENTITY,
+    "square": CostTransducer("power", (2,)),
+    "exp:2": exp_base(2.0),
+    "exp:1.0001": exp_base(1.0001),
+    "exp:3.7": exp_base(3.7),
+    "power:1.5": CostTransducer("power", (1.5,)),
+    "affine": CostTransducer("affine", (0.75, -2.5)),
+    "affine_int": CostTransducer("affine", (3, -7)),
+    "tabulated": CostTransducer("tabulated", ((0.0, 2.0, 5.0), (-1.0, 0.3, 7.1))),
+}
+
+
+def outcome(fn, *args):
+    """Value with its element types, or the CostOverflow message."""
+    try:
+        costs = fn(*args)
+    except CostOverflow as exc:
+        return "overflow", str(exc)
+    return costs, [type(c) for c in costs]
+
+
+def assert_same_landscape(m, g):
+    got = deplen.landscape(m, g)
+    want = reference_landscape(m, g)
+    assert got.costs == want
+    assert [type(c) for c in got.costs] == [type(c) for c in want]
+
+
+transducers = st.one_of(
+    st.sampled_from(sorted(TRANSDUCERS)).map(TRANSDUCERS.get),
+    st.floats(1.0001, 3.7).map(exp_base),
+    st.floats(1.01, 3.0).map(lambda k: CostTransducer("power", (k,))),
+    st.tuples(st.floats(0.01, 10.0), st.floats(-1e3, -1e-3)).map(
+        lambda ab: CostTransducer("affine", ab)
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 400), g=transducers)
+def test_landscape_matches_per_position_sums(m, g):
+    assert_same_landscape(m, g)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSDUCERS))
+@pytest.mark.parametrize("m", [2, 3, 5, 17, 50, 300])
+def test_landscape_matches_per_position_sums_fixed(m, name):
+    assert_same_landscape(m, TRANSDUCERS[name])
+
+
+@pytest.mark.parametrize("m", [1023, 1024, 1100])
+def test_overflow_outcome_matches(m):
+    # 1023: every cost finite; 1024: the sum at position 1 rounds to inf;
+    # 1100: exp(ln 2 * 1024) itself overflows
+    g = TRANSDUCERS["exp:2"]
+    want = outcome(reference_landscape, m, g)
+    assert outcome(lambda: deplen.landscape(m, g).costs) == want
+    assert (want[0] == "overflow") == (m > 1023)
+
+
+def test_infinite_edge_costs_overflow_like_the_sums():
+    # affine edge costs reach inf (from g(180) on) without raising
+    g = CostTransducer("affine", (1e306, 0.0))
+    with pytest.raises(CostOverflow) as got:
+        deplen.landscape(400, g)
+    with pytest.raises(CostOverflow) as want:
+        reference_landscape(400, g)
+    assert str(got.value) == str(want.value)
+
+
+def test_landscape_calls_each_distance_once_in_order():
+    calls = []
+
+    class Recording(CostTransducer):
+        def __call__(self, x):
+            calls.append(x)
+            return super().__call__(x)
+
+    deplen.landscape(9, Recording("power", (1.5,)))
+    assert calls == list(range(1, 9))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSDUCERS))
+@pytest.mark.parametrize("m", [2, 7, 64, 257])
+def test_dependency_cost_is_the_landscape_entry(m, name):
+    g = TRANSDUCERS[name]
+    costs = deplen.landscape(m, g).costs
+    for p in range(1, m + 1):
+        cost = deplen.dependency_cost(m, p, g)
+        assert cost == costs[p - 1]
+        assert type(cost) is type(costs[p - 1])
+
+
+# ---------------------------------------------------------------------------
+# ring evolution
+
+
+def reference_evolve(kernel, start, steps, ensemble_size, seed):
+    """One state per chain; each occupied state samples with rng.choice."""
+    start_idx = ring.ORDERS.index(ring.as_order(start))
+    matrix = ring.transition_matrix(kernel)
+    rng = ring.substream(seed, "ring", "evolve")
+    states = np.full(ensemble_size, start_idx, dtype=np.int64)
+    freqs = np.zeros((steps + 1, 6))
+    freqs[0] = np.bincount(states, minlength=6) / ensemble_size
+    for step in range(1, steps + 1):
+        new_states = np.empty_like(states)
+        for s in range(6):
+            mask = states == s
+            count = int(mask.sum())
+            if count:
+                new_states[mask] = rng.choice(6, size=count, p=matrix[s])
+        states = new_states
+        freqs[step] = np.bincount(states, minlength=6) / ensemble_size
+    return freqs
+
+
+@pytest.fixture
+def recorded_streams(monkeypatch):
+    """Record every generator ring.evolve draws from."""
+    made = []
+    real = ring.substream
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(ring, "substream", recording)
+    return made
+
+
+KERNELS = {
+    "exponential": ring.RingKernel("exponential", 1.0, {"dlm": 2.0}),
+    "negative_beta": ring.RingKernel("exponential", -2.5, {}, 0.3),
+    "inverse_power": ring.RingKernel("inverse_power", 1.7, {"agent_first": 0.5}, 0.2),
+    "zero_tabulated": ring.RingKernel("tabulated", {1: 0.0, 2: 1.0, 3: 0.0}),
+    "zero_tabulated_far": ring.RingKernel(
+        "tabulated", {1: 1.0, 2: 0.0, 3: 0.0}, {"verb_uncertainty": 0.0}, 0.4
+    ),
+    "all_filters": ring.RingKernel(
+        "exponential", 0.4,
+        {"dlm": 3.0, "verb_uncertainty": 0.2, "nominal_uncertainty": 1.5,
+         "agent_first": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("start", [str(o) for o in ring.ORDERS])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("steps, ensemble_size", [(0, 50), (1, 1), (7, 1), (12, 997)])
+def test_evolve_matches_per_chain_sampling(recorded_streams, kernel, start, steps,
+                                           ensemble_size):
+    kernel = KERNELS[kernel]
+    seed = 7919 * steps + ensemble_size
+    got = ring.evolve(kernel, start, steps, ensemble_size, seed)
+    want = reference_evolve(kernel, start, steps, ensemble_size, seed)
+    assert np.array_equal(got.frequencies, want)
+    # the same number of draws: both generators end in the same state
+    used, reference = recorded_streams
+    assert used.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kernel=st.sampled_from(sorted(KERNELS)),
+    start=st.sampled_from([str(o) for o in ring.ORDERS]),
+    steps=st.integers(0, 30),
+    ensemble_size=st.integers(1, 20_000),
+    seed=st.integers(0, 2**63),
+)
+def test_evolve_matches_per_chain_sampling_random(kernel, start, steps, ensemble_size,
+                                                  seed):
+    kernel = KERNELS[kernel]
+    got = ring.evolve(kernel, start, steps, ensemble_size, seed)
+    want = reference_evolve(kernel, start, steps, ensemble_size, seed)
+    assert np.array_equal(got.frequencies, want)
+
+
+class BoundaryGenerator(np.random.Generator):
+    """Uniforms that often land exactly on a cumulative-probability boundary.
+
+    ``Generator.choice`` takes its uniforms from ``self.random``, so both
+    samplers see the same values, ties included.
+    """
+
+    def __init__(self, boundaries, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.boundaries = np.asarray(boundaries)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        plain = super().random(size)
+        tie = super().random(size) < 0.5
+        picks = self.boundaries[super().integers(len(self.boundaries), size=size)]
+        return np.where(tie, picks, plain)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_evolve_buckets_boundary_draws_like_choice(monkeypatch, kernel):
+    kernel = KERNELS[kernel]
+    cdf = ring.transition_matrix(kernel).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    boundaries = np.unique(np.append(cdf[cdf < 1.0], 0.0))
+    for start in ring.ORDERS:
+        monkeypatch.setattr(ring, "substream",
+                            lambda *a: BoundaryGenerator(boundaries, 11))
+        got = ring.evolve(kernel, start, 6, 400, 0)
+        want = reference_evolve(kernel, start, 6, 400, 0)
+        assert np.array_equal(got.frequencies, want)
