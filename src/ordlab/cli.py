@@ -8,7 +8,6 @@ invocations produce byte-identical output.  Domain errors exit with status
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -35,21 +34,6 @@ def _csv_text(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def domain_errors(fn):
-    """Turn OrdlabError into exit status 1 with a stable error record."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OrdlabError as exc:
-            record = {"error": exc.code, "message": str(exc)}
-            click.echo(json.dumps(record), err=True)
-            sys.exit(1)
-
-    return wrapper
 
 
 def _parse_transducer(spec):
@@ -91,7 +75,19 @@ def _model_and_context(model_path, target, order):
     return model, target, context
 
 
-@click.group()
+class _DomainErrorGroup(click.Group):
+    """Turns an OrdlabError from any command into exit 1 with a JSON record."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OrdlabError as exc:
+            record = {"error": exc.code, "message": str(exc)}
+            click.echo(json.dumps(record), err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_DomainErrorGroup)
 def main():
     """Information-theoretic word order laboratory."""
 
@@ -107,7 +103,6 @@ def main():
 @click.option("--objective", type=click.Choice(["uncertainty", "predictability"]),
               default="uncertainty", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def placement(model_path, target, order, objective, output):
     """Per-context-size entropies and the optimal placement set."""
     model, resolved, context = _model_and_context(model_path, target, order)
@@ -132,7 +127,6 @@ def placement(model_path, target, order, objective, output):
 @click.option("--g", "g_spec", default="identity", show_default=True,
               help="Edge cost: identity|square|exp:<base>")
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def deplen_cmd(m, g_spec, output):
     """Dependency cost per head position with min/max summary."""
     transducer = _parse_transducer(g_spec)
@@ -154,19 +148,29 @@ def deplen_cmd(m, g_spec, output):
 # conflict
 
 
+def _parse_lambdas(spec):
+    try:
+        grid = [float(s) for s in spec.split(",")]
+    except ValueError:
+        raise InputParseError(f"bad lambda grid {spec!r}") from None
+    for lam in grid:
+        if not 0.0 <= lam <= 1.0:  # also rejects nan
+            raise InputParseError(f"lambda {lam!r} must lie in [0, 1]")
+    return grid
+
+
 @main.command("conflict")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--target", default=None)
 @click.option("--order", default=None, help="Comma-separated dependent order.")
 @click.option("--lambdas", default="0,0.25,0.5,0.75,1", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def conflict_cmd(model_path, target, order, lambdas, output):
     """Dependency cost vs head uncertainty per position, with Pareto front."""
     model, resolved, context = _model_and_context(model_path, target, order)
     report = conflict.conflict_report(model, context, resolved)
     front = conflict.pareto_front(report)
-    grid = [float(s) for s in lambdas.split(",")]
+    grid = _parse_lambdas(lambdas)
     optima = {lam: conflict.weighted_optimum(report, lam) for lam in grid}
     header = ["head_pos", "dep_cost", "H_bits", "pareto"] + [
         f"weighted_opt_at_{lam:g}" for lam in grid
@@ -193,14 +197,12 @@ def ring_group():
 @ring_group.command("distance")
 @click.argument("a")
 @click.argument("b")
-@domain_errors
 def ring_distance_cmd(a, b):
     click.echo(str(ring.ring_distance(a, b)))
 
 
 @ring_group.command("neighbors")
 @click.argument("order")
-@domain_errors
 def ring_neighbors_cmd(order):
     nbrs = ring.neighbors(order)
     click.echo(",".join(str(o) for o in ring.ORDERS if o in nbrs))
@@ -211,7 +213,6 @@ def ring_neighbors_cmd(order):
 @click.option("--ring/--no-ring", "use_ring", default=False)
 @click.option("--filter", "filter_name", default=None,
               type=click.Choice(sorted(ring.FILTER_SETS)))
-@domain_errors
 def ring_predict_cmd(source, use_ring, filter_name):
     dests = ring.predicted_destinations(source, use_ring, filter_name)
     click.echo(",".join(str(o) for o in dests))
@@ -258,7 +259,6 @@ def _config_int(cfg, name, default, minimum=None):
 @ring_group.command("simulate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def ring_simulate_cmd(config_path, output):
     """Evolve an ensemble per the JSON config; emit per-step distributions."""
     try:
@@ -292,7 +292,6 @@ def ring_simulate_cmd(config_path, output):
 @ring_group.command("compare")
 @click.option("--dist", required=True,
               help="Distribution, e.g. SOV=0.4,SVO=0.4,VSO=0.1,...")
-@domain_errors
 def ring_compare_cmd(dist):
     try:
         parsed = {}
@@ -327,7 +326,8 @@ def _profile_from_file(path, chars, max_order, cyclic, coverage_cap):
 _rate_input_options = [
     click.argument("corpus", type=click.Path(exists=True)),
     click.option("--chars", is_flag=True, help="Character-level tokenization."),
-    click.option("--max-order", default=4, show_default=True, type=int),
+    click.option("--max-order", default=4, show_default=True,
+                 type=click.IntRange(min=1)),
     click.option("--cyclic", is_flag=True, help="Wrap-around windows."),
     click.option("--coverage-cap", default=0.2, show_default=True, type=float,
                  help="Truncate once distinct blocks exceed this share of windows;"
@@ -344,7 +344,6 @@ def _with_rate_input(fn):
 @rate_group.command("profile")
 @_with_rate_input
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap, output):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     rows = [(i + 1, repr(v)) for i, v in enumerate(profile.values)]
@@ -354,7 +353,6 @@ def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap, output):
 @rate_group.command("cer")
 @_with_rate_input
 @click.option("--tolerance", default=0.05, show_default=True, type=float)
-@domain_errors
 def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     verdict = rate.cer_diagnostic(profile, tolerance)
@@ -371,7 +369,6 @@ def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--text", "text_path", default=None, type=click.Path(exists=True),
               help="Also report the spread of this whitespace-tokenized sequence.")
-@domain_errors
 def rate_uid_cmd(model_path, text_path):
     model = distributions.load_model(model_path)
     result = rate.uid_classify(model)
@@ -388,7 +385,6 @@ def rate_uid_cmd(model_path, text_path):
 @_with_rate_input
 @click.option("--variant", type=click.Choice(["pure", "relaxed"]),
               default="relaxed", show_default=True)
-@domain_errors
 def rate_hilberg_cmd(corpus, chars, max_order, cyclic, coverage_cap, variant):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     fit = rate.hilberg_fit(profile, variant)
@@ -404,7 +400,6 @@ def rate_hilberg_cmd(corpus, chars, max_order, cyclic, coverage_cap, variant):
 
 @rate_group.command("peak")
 @_with_rate_input
-@domain_errors
 def rate_peak_cmd(corpus, chars, max_order, cyclic, coverage_cap):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     value, index = rate.peak_cost(profile)
@@ -420,7 +415,6 @@ def rate_peak_cmd(corpus, chars, max_order, cyclic, coverage_cap):
               help="CSV with columns type,probability[,length][,ctx1..ctxN].")
 @click.option("--allow-full-reduction", is_flag=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def coding_cmd(input_path, allow_full_reduction, output):
     """Assign optimal lengths and report L, L_n(y), M_n(y), tau, verdict."""
     with open(input_path, encoding="utf-8", newline="") as fh:
@@ -451,6 +445,8 @@ def coding_cmd(input_path, allow_full_reduction, output):
     ]
     text = _csv_text(("context", "type", "probability", "length", "ideal_length"),
                      out_rows)
+    # built on both paths, so its length floor applies to contextual tables too
+    table = coding.TypeTable(probs, lengths, allow_full_reduction)
     if context_cols:
         table = coding.ContextTable(
             {
@@ -464,7 +460,6 @@ def coding_cmd(input_path, allow_full_reduction, output):
             text += f"L_n_y,{y},{repr(coding.per_target_length(table, y))}\n"
             text += f"M_n_y,{y},{repr(coding.renormalized_length(table, y))}\n"
     else:
-        table = coding.TypeTable(probs, lengths, allow_full_reduction)
         text += f"L,{repr(coding.mean_length(table))}\n"
     verdict = coding.abbreviation_check(table)
     tau_repr = "undefined" if verdict.tau is None else repr(verdict.tau)
@@ -513,7 +508,6 @@ def _parse_transition(spec):
 @click.option("--length", required=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
             length, seed, output):
     """Emit a whitespace-joined token sequence from a seeded source."""
@@ -549,7 +543,6 @@ def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
 @click.option("--chars", is_flag=True)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("-o", "--output", type=click.Path(), default=None)
-@domain_errors
 def scramble_cmd(corpus, chars, seed, output):
     """Uniformly permute the tokens of a corpus."""
     tokens = ingest_corpus(corpus, "character" if chars else "whitespace")

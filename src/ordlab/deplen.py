@@ -106,7 +106,7 @@ def _float_costs(m, values):
     # mirrored edge costs h[m - 1 + j] = g(|j|), with -0.0 (an exact additive
     # identity) at the head's own position; the slice for d adds g(|p - d|)
     # to every row p, so each row receives its terms in position order
-    g = np.array(values)
+    g = np.array(values, np.float64)
     h = np.empty(2 * m - 1)
     h[m:] = g
     h[:m - 1] = g[::-1]
@@ -128,20 +128,14 @@ def landscape(m, transducer=IDENTITY):
     once per distance, g(1) .. g(m - 1), in that order.  Integer edge costs
     give exact integer costs from prefix sums; float costs are summed in
     position order, one vectorised sweep per position d, so every cost has
-    the same bits as the left-to-right fold.
+    the same bits as the left-to-right fold.  Edge costs that are not all
+    integers are summed as floats.
     """
     _check_args(m, transducer)
     values = [transducer(x) for x in range(1, m)]
     if all(type(v) is int for v in values):
         prefix = list(itertools.accumulate(values, initial=0))
         costs = tuple(prefix[p - 1] + prefix[m - p] for p in range(1, m + 1))
-    elif all(type(v) is float for v in values):
-        costs = _float_costs(m, values)
     else:
-        # other numeric types keep their own arithmetic: fold each row
-        rows = (values[:p - 1][::-1] + values[:m - p] for p in range(1, m + 1))
-        costs = tuple(
-            _check_finite(m, p, reduce(operator.add, row, 0))
-            for p, row in enumerate(rows, 1)
-        )
+        costs = _float_costs(m, values)
     return DependencyLandscape(m, costs, transducer, _is_quasi_convex(costs))

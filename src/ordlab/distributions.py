@@ -83,9 +83,6 @@ class Alphabet:
     def __iter__(self):
         return iter(self.symbols)
 
-    def index(self, symbol):
-        return self.symbols.index(symbol)
-
 
 class Grouping(NamedTuple):
     """Rows of a model's table grouped by their symbols on some roles.
@@ -114,41 +111,31 @@ class JointSequenceModel:
     to probabilities.  Zero-probability tuples are omitted.  Immutable after
     construction; safe for concurrent reads.
 
-    Exact quantities come from integer codes of the table (one alphabet
-    index per role and row, in table order) and from one grouping of those
-    rows per role tuple.  Both are derived lazily on first use and memoised
-    on the model; concurrent readers may at worst compute one twice.
+    Exact quantities come from the integer codes of the table (one
+    alphabet index per role and row, in table order), which the model's
+    constructors pass in, and from one grouping of those rows per role
+    tuple.  Groupings are derived lazily on first use and memoised on the
+    model; concurrent readers may at worst compute one twice.
     """
 
     roles: tuple[str, ...]
     alphabets: dict[str, Alphabet]
     table: dict[tuple[str, ...], float]
     target_role: str | None = None
+    _codes: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    _probs: np.ndarray = field(init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        probs = np.fromiter(self.table.values(), np.float64, len(self.table))
+        object.__setattr__(self, "_probs", probs)
+        _frozen(self._codes, probs)
 
     def role_index(self, role):
         try:
             return self.roles.index(role)
         except ValueError:
             raise UnknownRole(f"unknown role {role!r}") from None
-
-    def _codes(self):
-        """(K, n_roles) int64 alphabet indices and float64 probabilities."""
-        codes = self._memo.get("codes")
-        if codes is None:
-            k = len(self.table)
-            codes = np.empty((len(self.roles), k), np.int64)
-            for j, (role, column) in enumerate(zip(self.roles, zip(*self.table))):
-                index = {s: i for i, s in enumerate(self.alphabets[role].symbols)}
-                try:
-                    codes[j] = np.fromiter(map(index.__getitem__, column), np.int64, k)
-                except KeyError as exc:
-                    raise UnknownRole(
-                        f"symbol {exc.args[0]!r} not in alphabet of role {role!r}"
-                    ) from None
-            probs = np.fromiter(self.table.values(), np.float64, k)
-            codes = self._memo["codes"] = _frozen(codes.T, probs)
-        return codes
 
     def grouping(self, roles):
         """The :class:`Grouping` of the table rows by their ``roles`` symbols.
@@ -162,7 +149,7 @@ class JointSequenceModel:
     def _grouping(self, idx):
         group = self._memo.get(idx)
         if group is None:
-            codes, probs = self._codes()
+            codes, probs = self._codes, self._probs
             if idx:
                 radix = len(self.alphabets[self.roles[idx[-1]]])
                 ids = self._grouping(idx[:-1]).inverse * radix + codes[:, idx[-1]]
@@ -193,22 +180,41 @@ class JointSequenceModel:
         }
 
 
+def _encode(roles, alphabets, keys):
+    """(K, n_roles) int64 alphabet indices of ``keys``, one row per key.
+
+    The one place where a model's symbols meet its alphabets.  A key of the
+    wrong arity raises ArityMismatch and a symbol outside its role's
+    alphabet UnknownRole.  The first bad key in ``keys`` order wins, and
+    within a key arity is checked before symbols.
+    """
+    n, k = len(roles), len(keys)
+    index = [{s: i for i, s in enumerate(alphabets[r])} for r in roles]
+    codes = np.empty((n, k), np.int64)
+    if set(map(len, keys)) <= {n}:
+        try:
+            for j, column in enumerate(zip(*keys)):
+                codes[j] = np.fromiter(map(index[j].__getitem__, column), np.int64, k)
+            return codes.T
+        except KeyError:
+            pass
+    for key in keys:
+        if len(key) != n:
+            raise ArityMismatch(f"tuple {key!r} has arity {len(key)}, expected {n}")
+        for role, known, symbol in zip(roles, index, key):
+            if symbol not in known:
+                raise UnknownRole(f"symbol {symbol!r} not in alphabet of role {role!r}")
+
+
 def _validate_and_normalize(roles, alphabets, table, target_role):
     roles = tuple(roles)
     if len(set(roles)) != len(roles):
         raise RoleOverlap(f"duplicate role labels in {roles!r}")
-    for key, p in table.items():
-        if len(key) != len(roles):
-            raise ArityMismatch(
-                f"tuple {key!r} has arity {len(key)}, expected {len(roles)}"
-            )
-        for role, symbol in zip(roles, key):
-            if symbol not in alphabets[role].symbols:
-                raise UnknownRole(
-                    f"symbol {symbol!r} not in alphabet of role {role!r}"
-                )
+    codes = _encode(roles, alphabets, table)
     mass = check_mass(table.values(), "total")
     clean = {k: p for k, p in table.items() if p > 0.0}
+    if len(clean) < len(table):
+        codes = codes[np.fromiter(table.values(), np.float64, len(table)) > 0.0]
     if mass != 1.0:
         clean = {k: p / mass for k, p in clean.items()}
         # nudge the heaviest entry so the fsum is exactly 1.0; this makes
@@ -219,14 +225,14 @@ def _validate_and_normalize(roles, alphabets, table, target_role):
             if residual == 0.0:
                 break
             clean[largest] += residual
-    return JointSequenceModel(roles, dict(alphabets), clean, target_role)
+    return JointSequenceModel(roles, dict(alphabets), clean, target_role, _codes=codes)
 
 
 def make_joint(roles, table, alphabets=None, target_role=None):
     """Build a validated model from an explicit probability table.
 
     When ``alphabets`` is omitted, each role's alphabet is inferred from the
-    symbols observed in the table keys, in first-appearance order.
+    symbols observed in the table keys, in sorted order.
     """
     roles = tuple(roles)
     if alphabets is None:
@@ -296,9 +302,12 @@ def marginalize(model, kept_roles):
     if not kept:
         raise UnknownRole("kept_roles must be non-empty")
     table = model.marginal(kept)
+    # the groups' first rows, in first-occurrence order, are the marginal's rows
+    rows = np.sort(model.grouping(kept).first)
+    codes = model._codes[np.ix_(rows, [model.role_index(r) for r in kept])]
     alphabets = {r: model.alphabets[r] for r in kept}
     target = model.target_role if model.target_role in kept else None
-    return JointSequenceModel(kept, alphabets, table, target)
+    return JointSequenceModel(kept, alphabets, table, target, _codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +395,11 @@ def scramble(sequence, seed):
 
 
 def model_to_json(model):
-    entries = [
-        {"tuple": list(key), "p": p}
-        for key, p in sorted(
-            model.table.items(),
-            key=lambda kv: tuple(
-                model.alphabets[r].index(s) for r, s in zip(model.roles, kv[0])
-            ),
-        )
-    ]
+    # rows in lexicographic order of their codes; lexsort's last key is primary
+    keys = model._codes.T[::-1]
+    order = np.lexsort(keys).tolist() if len(keys) else range(len(model.table))
+    items = list(model.table.items())
+    entries = [{"tuple": list(items[i][0]), "p": items[i][1]} for i in order]
     doc = {
         "roles": list(model.roles),
         "alphabets": {r: list(model.alphabets[r].symbols) for r in model.roles},

@@ -321,6 +321,32 @@ BAD_INPUTS = {
         {"decay": {"kind": "tabulated", "weights": {"1": 1, "2": -0.1, "3": 0.1}}}
     ),
     "nan_self_weight": json.dumps({"self_weight": float("nan")}),
+    "unknown_symbol": json.dumps({
+        "roles": ["y", "x1"],
+        "alphabets": {"y": ["a", "b"], "x1": ["a"]},
+        "entries": [{"tuple": ["a", "a"], "p": 0.5}, {"tuple": ["b", "z"], "p": 0.5}],
+    }),
+    "unknown_symbol_zero_p": json.dumps({
+        "roles": ["y", "x1"],
+        "alphabets": {"y": ["a", "b"], "x1": ["a"]},
+        "entries": [{"tuple": ["a", "a"], "p": 1.0}, {"tuple": ["b", "z"], "p": 0.0}],
+    }),
+    "wrong_arity": json.dumps({
+        "roles": ["y", "x1"],
+        "alphabets": {"y": ["a", "b"], "x1": ["a"]},
+        "entries": [{"tuple": ["a", "a"], "p": 0.5}, {"tuple": ["b"], "p": 0.5}],
+    }),
+    "target_model": json.dumps({
+        "roles": ["y", "x1", "x2"],
+        "alphabets": {"y": ["a", "b"], "x1": ["a", "b"], "x2": ["a"]},
+        "entries": [{"tuple": ["a", "a", "a"], "p": 0.5},
+                    {"tuple": ["b", "b", "a"], "p": 0.5}],
+        "target": "y",
+    }),
+    "corpus": "a b a b b a\n",
+    "zero_length_contexts": "type,probability,length,ctx1\nx,0.5,0,a\ny,0.5,1,b\n",
+    "negative_length_contexts":
+        "type,probability,length,ctx1\nx,0.5,-3,a\ny,0.5,1,b\n",
 }
 
 ERROR_CASES = [
@@ -368,6 +394,24 @@ ERROR_CASES = [
     (["ring", "simulate", "--config", "{negative_tabulated}"], 1, "input_parse_error"),
     (["ring", "simulate", "--config", "{nan_self_weight}"], 1, "input_parse_error"),
     (["deplen", "--m", "0"], 1, "position_out_of_range"),
+    (["placement", "--model", "{unknown_symbol}"], 1, "unknown_role"),
+    (["rate", "uid", "--model", "{unknown_symbol_zero_p}"], 1, "unknown_role"),
+    (["conflict", "--model", "{wrong_arity}"], 1, "arity_mismatch"),
+    *((["rate", command, "{corpus}", "--max-order", order], 2, None)
+      for command in ("profile", "cer", "hilberg", "peak") for order in ("0", "-2")),
+    (["conflict", "--model", "{target_model}", "--lambdas", "0,0.5,1"], 0, None),
+    (["conflict", "--model", "{target_model}", "--lambdas", "0,2"], 1,
+     "input_parse_error"),
+    (["conflict", "--model", "{target_model}", "--lambdas", "nan"], 1,
+     "input_parse_error"),
+    (["conflict", "--model", "{target_model}", "--lambdas", "abc"], 1,
+     "input_parse_error"),
+    (["coding", "--input", "{zero_length_contexts}"], 1, "length_below_floor"),
+    (["coding", "--input", "{zero_length_contexts}", "--allow-full-reduction"], 0,
+     None),
+    (["coding", "--input", "{negative_length_contexts}"], 1, "length_below_floor"),
+    (["coding", "--input", "{negative_length_contexts}", "--allow-full-reduction"], 1,
+     "length_below_floor"),
 ]
 
 
@@ -379,7 +423,10 @@ def test_error_contract(runner, tmp_path, argv, status, code):
         (tmp_path / name).write_text(text)
     result = runner.invoke(main, [arg.format(**paths) for arg in argv])
     assert result.exit_code == status
-    assert isinstance(result.exception, SystemExit)  # nothing escaped uncaught
+    if status == 0:
+        assert result.exception is None and result.stderr == ""
+    else:
+        assert isinstance(result.exception, SystemExit)  # nothing escaped uncaught
     assert "Traceback" not in result.stderr
     if status == 1:
         record = json.loads(result.stderr)
