@@ -419,8 +419,13 @@ def model_from_json(text):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"bad model document: {exc!r}") from None
     for p in table.values():
-        if not isinstance(p, (int, float)):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise InputParseError(f"bad model document: p = {p!r} is not a number")
+        try:
+            float(p)
+        except OverflowError:
+            raise InputParseError("bad model document: an integer p is too large "
+                                  "for a float") from None
     return _validate_and_normalize(roles, alphabets, table, doc.get("target"))
 
 

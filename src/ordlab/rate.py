@@ -10,9 +10,11 @@ functional.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import chain, islice, repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -28,42 +30,131 @@ from .infotheory import EntropyProfile, entropy
 GAMMA_GRID = np.arange(0.05, 1.5 + 1e-9, 0.005)
 
 
-@dataclass(frozen=True)
-class NGramTable:
-    """Sliding-window block counts for orders 1..max_order."""
+class _OrderView(Mapping):
+    """Read-only mapping order -> value(order) over orders 1..max_order.
 
-    max_order: int
-    counts: dict[int, Counter]        # order -> Counter of token tuples
-    total_positions: dict[int, int]   # order -> number of windows counted
-    cyclic: bool = False
+    Values are computed on each access and never stored, so the view holds
+    no per-order state however large max_order is.
+    """
+
+    def __init__(self, max_order, value):
+        self._max_order = max_order
+        self._value = value
+
+    def __contains__(self, order):
+        return isinstance(order, Integral) and 1 <= order <= self._max_order
+
+    def __getitem__(self, order):
+        if order not in self:
+            raise KeyError(order)
+        return self._value(order)
+
+    def __iter__(self):
+        return iter(range(1, self._max_order + 1))
+
+    def __len__(self):
+        return self._max_order
+
+
+class NGramTable:
+    """Sliding-window block counts for orders 1..max_order, counted lazily.
+
+    The tokens are held as integer codes numbered in order of first
+    occurrence.  An order is counted the first time something asks for it
+    and its grouping is kept; orders nobody asks for are never counted.
+
+    ``counts`` maps order -> ``Counter`` of token tuples in order of first
+    occurrence, and ``total_positions`` maps order -> number of windows.
+    Both are read-only views: a ``Counter`` is built afresh on every access
+    to ``counts[k]``, so read it once and keep it when it is needed twice.
+    """
+
+    def __init__(self, vocabulary, codes, max_order, cyclic):
+        self.max_order = max_order
+        self.cyclic = cyclic
+        self._vocabulary = vocabulary
+        self._n = len(codes)
+        if cyclic:
+            # append the wrap-around so every window of every order is a slice
+            wrap = codes[:min(self._n, max_order) - 1]
+            codes = np.concatenate([codes, wrap])
+        self._codes = codes
+        self._groups = {}  # counted order -> (group id per window, group sizes)
+        self.counts = _OrderView(max_order, self._counter)
+        self.total_positions = _OrderView(max_order, self._windows)
+
+    def _windows(self, order):
+        return self._n if self.cyclic else max(0, self._n - order + 1)
+
+    def _column(self, order, windows):
+        """Code of the order-th token of every window."""
+        start = (order - 1) % self._n
+        return self._codes[start:start + windows]
+
+    def _grouping(self, order):
+        """(group id of each window, size of each group) for one order.
+
+        Order 1 groups by token code.  Order k rolls the groups of order
+        k - 1 forward by one token code and numbers the distinct results in
+        sorted order, so counted orders are always 1..m for some m.
+        """
+        if self._windows(order) == 0:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        if not self._groups:
+            # codes number the tokens by first occurrence: they are the groups
+            inverse = self._column(1, self._n)
+            self._groups[1] = inverse, np.bincount(inverse)
+        n_codes = len(self._vocabulary)
+        for k in range(len(self._groups) + 1, order + 1):
+            prefix, sizes = self._groups[k - 1]
+            windows = self._windows(k)
+            ids = prefix[:windows] * n_codes + self._column(k, windows)
+            id_range = len(sizes) * n_codes
+            if id_range <= 2 * windows:
+                # dense: count every possible id, then renumber the used ones
+                full = np.bincount(ids, minlength=id_range)
+                used = full > 0
+                self._groups[k] = (np.cumsum(used) - 1)[ids], full[used]
+            else:
+                _, inverse, sizes = np.unique(ids, return_inverse=True,
+                                              return_counts=True)
+                self._groups[k] = inverse, sizes
+        return self._groups[order]
+
+    def _counter(self, order):
+        inverse, sizes = self._grouping(order)
+        if not len(inverse):
+            return Counter()
+        if order == 1:
+            keys = [(token,) for token in self._vocabulary]
+            return Counter(dict(zip(keys, sizes.tolist())))
+        # each block is decoded at its first window; sorting those windows
+        # puts the blocks in order of first occurrence
+        first = np.full(len(sizes), len(inverse))
+        np.minimum.at(first, inverse, np.arange(len(inverse)))
+        starts = np.sort(first)
+        tokens = np.fromiter(self._vocabulary, object, len(self._vocabulary))
+        columns = [tokens[self._column(k, len(inverse))[starts]].tolist()
+                   for k in range(1, order + 1)]
+        return Counter(dict(zip(zip(*columns), sizes[inverse[starts]].tolist())))
 
 
 def ngram_counts(sequence, max_order, cyclic=False):
-    """Count blocks of every order 1..max_order.
+    """Code a sequence for block counting of every order 1..max_order.
 
-    With ``cyclic=True`` windows wrap around the end of the sequence, which
-    makes the counts of a perfectly periodic sequence exact rather than
-    edge-biased.  Each ``Counter`` lists its blocks in order of first
-    occurrence.
+    Nothing is counted here: each order is counted on first use (see
+    :class:`NGramTable`).  With ``cyclic=True`` windows wrap around the end
+    of the sequence, which makes the counts of a perfectly periodic sequence
+    exact rather than edge-biased.
     """
-    tokens = list(sequence)
-    if not tokens:
+    index = defaultdict()
+    index.default_factory = index.__len__  # a new token gets the next code
+    codes = np.fromiter(map(index.__getitem__, sequence), np.int64)
+    if not len(codes):
         raise EmptySequence("cannot count n-grams of an empty sequence")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    n = len(tokens)
-    if cyclic:
-        # append the wrap-around so every window of every order is a slice
-        tokens += list(islice(cycle(tokens), max_order - 1))
-    counts = {}
-    totals = {}
-    for order in range(1, max_order + 1):
-        windows = n if cyclic else max(0, n - order + 1)
-        counts[order] = Counter(
-            zip(*(islice(tokens, k, k + windows) for k in range(order)))
-        )
-        totals[order] = windows
-    return NGramTable(max_order, counts, totals, cyclic)
+    return NGramTable(list(index), codes, max_order, cyclic)
 
 
 def block_entropy(table, order):
@@ -71,9 +162,11 @@ def block_entropy(table, order):
     total = table.total_positions[order]
     if total == 0:
         raise InsufficientData(f"no windows of order {order}")
-    return -math.fsum(
-        (c / total) * math.log2(c / total) for c in table.counts[order].values()
-    )
+    # equal counts give equal terms: compute each once, and let the exact,
+    # order-free fsum add it as many times as it occurs
+    sizes, repeats = np.unique(table._grouping(order)[1], return_counts=True)
+    terms = ((c / total) * math.log2(c / total) for c in sizes.tolist())
+    return -math.fsum(chain.from_iterable(map(repeat, terms, repeats.tolist())))
 
 
 def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
@@ -82,7 +175,8 @@ def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
     The profile is truncated once distinct blocks exceed ``coverage_cap``
     of the window count (pass None to disable): beyond that point plug-in
     estimates collapse towards zero.  Raises InsufficientData when not even
-    the unigram estimate clears ``min_windows``.
+    the unigram estimate clears ``min_windows``.  No order past the one
+    that stops the profile is counted.
     """
     values = []
     previous = 0.0
@@ -93,7 +187,7 @@ def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
         if (
             coverage_cap is not None
             and order > 1
-            and len(table.counts[order]) > coverage_cap * total
+            and len(table._grouping(order)[1]) > coverage_cap * total
         ):
             break
         h_block = block_entropy(table, order)

@@ -194,6 +194,17 @@ class TestRate:
         record = json.loads(result.output)
         assert record["argmax_index"] == 1
 
+    def test_huge_max_order_stops_at_the_last_window(self, runner, tmp_path):
+        corpus = tmp_path / "five.txt"
+        corpus.write_text("a b a b b\n")
+        huge = runner.invoke(main, ["rate", "profile", str(corpus), "--coverage-cap",
+                                    "0", "--max-order", "100000000"])
+        six = runner.invoke(main, ["rate", "profile", str(corpus), "--coverage-cap",
+                                   "0", "--max-order", "6"])
+        assert huge.exit_code == six.exit_code == 0
+        assert huge.output == six.output
+        assert len(six.output.splitlines()) == 1 + 5
+
     def test_empty_corpus_domain_error(self, runner, tmp_path):
         corpus = tmp_path / "empty.txt"
         corpus.write_text("")
@@ -344,6 +355,13 @@ BAD_INPUTS = {
         "target": "y",
     }),
     "corpus": "a b a b b a\n",
+    "five_tokens": "a b a b b\n",
+    "huge_int_p": json.dumps(
+        {"roles": ["y"], "alphabets": {"y": ["a"]}, "entries": [{"tuple": ["a"], "p": 10**400}]}
+    ),
+    "bool_p": json.dumps(
+        {"roles": ["y"], "alphabets": {"y": ["a"]}, "entries": [{"tuple": ["a"], "p": True}]}
+    ),
     "zero_length_contexts": "type,probability,length,ctx1\nx,0.5,0,a\ny,0.5,1,b\n",
     "negative_length_contexts":
         "type,probability,length,ctx1\nx,0.5,-3,a\ny,0.5,1,b\n",
@@ -412,6 +430,9 @@ ERROR_CASES = [
     (["coding", "--input", "{negative_length_contexts}"], 1, "length_below_floor"),
     (["coding", "--input", "{negative_length_contexts}", "--allow-full-reduction"], 1,
      "length_below_floor"),
+    (["rate", "uid", "--model", "{huge_int_p}"], 1, "input_parse_error"),
+    (["rate", "uid", "--model", "{bool_p}"], 1, "input_parse_error"),
+    (["rate", "profile", "{five_tokens}", "--max-order", "100000000"], 0, None),
 ]
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import nnls
 
 from ordlab import distributions as d, rate
@@ -35,6 +35,28 @@ def reference_ngram_counts(sequence, max_order, cyclic):
     return counts, totals
 
 
+def reference_block_entropy(counter, total):
+    """Counter-based sum that block_entropy replaced, kept as its oracle."""
+    return -math.fsum((c / total) * math.log2(c / total) for c in counter.values())
+
+
+def reference_profile(sequence, max_order, cyclic, min_windows, coverage_cap):
+    """Counter-based conditional_entropy_profile values, kept as its oracle."""
+    counts, totals = reference_ngram_counts(sequence, max_order, cyclic)
+    values, previous = [], 0.0
+    for order in range(1, max_order + 1):
+        total = totals[order]
+        if total < min_windows:
+            break
+        if (coverage_cap is not None and order > 1
+                and len(counts[order]) > coverage_cap * total):
+            break
+        h_block = reference_block_entropy(counts[order], total)
+        values.append(h_block - previous)
+        previous = h_block
+    return values
+
+
 @st.composite
 def token_sequences(draw):
     if draw(st.booleans()):
@@ -42,6 +64,23 @@ def token_sequences(draw):
     vocabulary = draw(st.integers(1, 5000))
     codes = draw(st.lists(st.integers(0, vocabulary - 1), min_size=1, max_size=200))
     return [f"w{c}" for c in codes]
+
+
+@st.composite
+def grouping_boundary_sequences(draw):
+    """All V tokens, then random ones, for about V * V / 2 tokens in all.
+
+    Counting an order groups its windows with np.bincount while the rolled
+    id range (groups of the order below times V) is at most twice the
+    window count, and with np.unique above that.  At order 2 that range is
+    V * V, so these lengths put order 2 on either side of the switch and on
+    it; the higher orders fall on both sides as well.
+    """
+    vocabulary = draw(st.integers(1, 40))
+    n = max(vocabulary, vocabulary * vocabulary // 2 + draw(st.integers(-2, 2)))
+    tail = draw(st.lists(st.integers(0, vocabulary - 1),
+                         min_size=n - vocabulary, max_size=n - vocabulary))
+    return [f"w{c}" for c in list(range(vocabulary)) + tail]
 
 
 class TestNgramCounts:
@@ -142,6 +181,70 @@ class TestConditionalProfile:
         table = rate.ngram_counts("ab", 1)
         with pytest.raises(InsufficientData):
             rate.conditional_entropy_profile(table, min_windows=10)
+
+
+class TestMatchesCounterReference:
+    @settings(deadline=None)
+    @given(st.one_of(token_sequences(), grouping_boundary_sequences()),
+           st.integers(1, 8), st.booleans(), st.sampled_from([0.2, 0.05, None]),
+           st.integers(1, 4))
+    # four tokens: order 2 has id range 16, on the switch with 8 windows
+    # (np.bincount) and just past it with 7 (np.unique)
+    @example("abcdabdca", 3, False, None, 1)
+    @example("abcdabdc", 3, False, None, 1)
+    def test_same_floats(self, sequence, max_order, cyclic, coverage_cap,
+                         min_windows):
+        table = rate.ngram_counts(sequence, max_order, cyclic=cyclic)
+        want = reference_profile(sequence, max_order, cyclic, min_windows,
+                                 coverage_cap)
+        if want:
+            profile = rate.conditional_entropy_profile(table, min_windows,
+                                                       coverage_cap)
+            assert list(profile.values) == want
+        else:
+            with pytest.raises(InsufficientData):
+                rate.conditional_entropy_profile(table, min_windows, coverage_cap)
+        counts, totals = reference_ngram_counts(sequence, max_order, cyclic)
+        for order in counts:
+            if totals[order]:
+                assert rate.block_entropy(table, order) == reference_block_entropy(
+                    counts[order], totals[order])
+
+
+class TestLazyCounting:
+    def test_profile_counts_no_order_past_its_stop(self):
+        # 40 distinct tokens: order 2 breaks the coverage cap
+        table = rate.ngram_counts([f"t{i}" for i in range(40)], 8)
+        assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
+        assert sorted(table._groups) == [1, 2]
+        # 6 tokens, min_windows 3: orders 5.. have too few windows
+        table = rate.ngram_counts("abcabc", 8)
+        profile = rate.conditional_entropy_profile(table, 3, coverage_cap=None)
+        assert len(profile) == 4
+        assert sorted(table._groups) == [1, 2, 3, 4]
+
+    def test_unigram_view_in_first_occurrence_order(self):
+        table = rate.ngram_counts("banana", 5)
+        assert list(table.counts[1].items()) == [(("b",), 1), (("a",), 3),
+                                                 (("n",), 2)]
+        assert sorted(table._groups) == [1]
+
+    def test_views_are_not_memoised(self):
+        table = rate.ngram_counts("abab", 2)
+        first = table.counts[2]
+        first[("a", "b")] += 5
+        assert table.counts[2] == Counter({("a", "b"): 2, ("b", "a"): 1})
+        assert table.counts[2] is not table.counts[2]
+
+    def test_huge_max_order_builds_nothing_per_order(self):
+        table = rate.ngram_counts("abcab", 10**12)
+        assert len(table.total_positions) == len(table.counts) == 10**12
+        assert table.total_positions[10**12] == 0
+        assert table.counts[10**12] == Counter()
+        assert not table._groups
+        assert 0 not in table.counts and 10**12 + 1 not in table.total_positions
+        with pytest.raises(KeyError):
+            table.counts[10**12 + 1]
 
 
 class TestExactPeriodic:
