@@ -52,13 +52,29 @@ def _parse_transducer(spec):
     raise InputParseError(f"unknown transducer spec {spec!r}")
 
 
-def ingest_corpus(path, tokenization="whitespace"):
-    """Read a UTF-8 text file into a deterministic token list."""
+def _read_text(path):
+    """The text of a UTF-8 input file, line endings untranslated for csv."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise InputParseError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
+def _word_order(name):
+    """The WordOrder called ``name`` (any case); InputParseError otherwise."""
+    try:
+        return ring.as_order(name)
+    except ValueError:
+        names = ", ".join(str(o) for o in ring.ORDERS)
+        raise InputParseError(
+            f"unknown word order {name!r}; expected one of {names}"
+        ) from None
+
+
+def ingest_corpus(path, tokenization="whitespace"):
+    """Read a UTF-8 text file into a deterministic token list."""
+    text = _read_text(path)
     if tokenization == "character":
         return [c for c in text if not c.isspace()]
     return text.split()
@@ -66,7 +82,7 @@ def ingest_corpus(path, tokenization="whitespace"):
 
 def _model_and_context(model_path, target, order):
     """Load a model, resolve its target and default the context order."""
-    model = distributions.load_model(model_path)
+    model = distributions.model_from_json(_read_text(model_path))
     target = infotheory.resolve_target(model, target)
     if order is None:
         context = tuple(r for r in model.roles if r != target)
@@ -198,13 +214,13 @@ def ring_group():
 @click.argument("a")
 @click.argument("b")
 def ring_distance_cmd(a, b):
-    click.echo(str(ring.ring_distance(a, b)))
+    click.echo(str(ring.ring_distance(_word_order(a), _word_order(b))))
 
 
 @ring_group.command("neighbors")
 @click.argument("order")
 def ring_neighbors_cmd(order):
-    nbrs = ring.neighbors(order)
+    nbrs = ring.neighbors(_word_order(order))
     click.echo(",".join(str(o) for o in ring.ORDERS if o in nbrs))
 
 
@@ -214,7 +230,7 @@ def ring_neighbors_cmd(order):
 @click.option("--filter", "filter_name", default=None,
               type=click.Choice(sorted(ring.FILTER_SETS)))
 def ring_predict_cmd(source, use_ring, filter_name):
-    dests = ring.predicted_destinations(source, use_ring, filter_name)
+    dests = ring.predicted_destinations(_word_order(source), use_ring, filter_name)
     click.echo(",".join(str(o) for o in dests))
 
 
@@ -262,21 +278,15 @@ def _config_int(cfg, name, default, minimum=None):
 def ring_simulate_cmd(config_path, output):
     """Evolve an ensemble per the JSON config; emit per-step distributions."""
     try:
-        with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(_read_text(config_path))
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{config_path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputParseError(f"{config_path}: config must be a JSON object")
     kernel = _kernel_from_config(cfg)
-    start = cfg.get("start", "SOV")
-    try:
-        start = ring.as_order(start)
-    except ValueError:
-        raise InputParseError(f"bad start order {start!r}") from None
     trajectory = ring.evolve(
         kernel,
-        start,
+        _word_order(cfg.get("start", "SOV")),
         _config_int(cfg, "steps", 1, minimum=0),
         _config_int(cfg, "ensemble_size", 1000, minimum=1),
         _config_int(cfg, "seed", 0),
@@ -297,8 +307,8 @@ def ring_compare_cmd(dist):
         parsed = {}
         for part in dist.split(","):
             name, value = part.split("=")
-            parsed[ring.as_order(name.strip())] = float(value)
-    except (ValueError, KeyError) as exc:
+            parsed[_word_order(name.strip())] = float(value)
+    except ValueError as exc:
         raise InputParseError(f"bad distribution spec: {exc}") from None
     distributions.check_mass(parsed.values(), "distribution")
     tv, agreements = ring.compare_to_reference(parsed)
@@ -370,7 +380,7 @@ def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
 @click.option("--text", "text_path", default=None, type=click.Path(exists=True),
               help="Also report the spread of this whitespace-tokenized sequence.")
 def rate_uid_cmd(model_path, text_path):
-    model = distributions.load_model(model_path)
+    model = distributions.model_from_json(_read_text(model_path))
     result = rate.uid_classify(model)
     record = {"verdict": result.verdict, "worst_spread": result.worst_spread}
     if result.offending_sequence is not None:
@@ -417,19 +427,24 @@ def rate_peak_cmd(corpus, chars, max_order, cyclic, coverage_cap):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def coding_cmd(input_path, allow_full_reduction, output):
     """Assign optimal lengths and report L, L_n(y), M_n(y), tau, verdict."""
-    with open(input_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputParseError("empty coding table")
+    reader = csv.DictReader(io.StringIO(_read_text(input_path), newline=""))
+    if reader.fieldnames is None:
+        raise InputParseError("empty coding table")
+    has_length = "length" in reader.fieldnames
+    rows = list(reader)
+    if not rows:
+        raise InputParseError("coding table has no rows")
+    try:
         context_cols = sorted(
             (c for c in reader.fieldnames if c.startswith("ctx")),
             key=lambda c: int(c[3:]),
         )
-        has_length = "length" in reader.fieldnames
-        rows = list(reader)
-    if not rows:
-        raise InputParseError("coding table has no rows")
-    try:
+        read = ["probability", "type", *context_cols]
+        if has_length:
+            read.append("length")
+        for i, r in enumerate(rows, 1):
+            if any(r[c] is None for c in read):  # csv fills a short row with None
+                raise ValueError(f"row {i} has fewer fields than the header")
         probs = [float(r["probability"]) for r in rows]
         types = [r["type"] for r in rows]
         contexts = [tuple(r[c] for c in context_cols) for r in rows]

@@ -21,7 +21,6 @@ class ConflictReport:
     m: int
     dep_costs: tuple[float, ...]      # indexed by head position 1..m
     uncertainties: tuple[float, ...]  # H(head | first p-1 dependents)
-    context_order: tuple[str, ...]
 
     def positions(self):
         return range(1, self.m + 1)
@@ -36,7 +35,7 @@ def conflict_report(model, context_order, target=None, transducer=IDENTITY):
     m = len(profile)  # the head plus its dependents
     dep_costs = deplen.landscape(m, transducer).costs
     uncertainties = tuple(profile.values)  # profile[i] with i = p - 1
-    return ConflictReport(m, dep_costs, uncertainties, tuple(context_order))
+    return ConflictReport(m, dep_costs, uncertainties)
 
 
 def pareto_front(report):

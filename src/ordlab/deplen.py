@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CostOverflow, NonMonotoneTransducer, PositionOutOfRange
-from .infotheory import IDENTITY, CostTransducer
+from .infotheory import IDENTITY
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class DependencyLandscape:
 
     m: int
     costs: tuple[float, ...]
-    transducer: CostTransducer
     quasi_convex: bool
 
     def min_positions(self):
@@ -138,4 +137,4 @@ def landscape(m, transducer=IDENTITY):
         costs = tuple(prefix[p - 1] + prefix[m - p] for p in range(1, m + 1))
     else:
         costs = _float_costs(m, values)
-    return DependencyLandscape(m, costs, transducer, _is_quasi_convex(costs))
+    return DependencyLandscape(m, costs, _is_quasi_convex(costs))

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._grouping import first_rows, plugin_entropy, roll
 from ._rng import substream
 from .errors import (
     ArityMismatch,
@@ -87,14 +88,14 @@ class Alphabet:
 class Grouping(NamedTuple):
     """Rows of a model's table grouped by their symbols on some roles.
 
-    ``first`` is the table row where each group first occurs, ``inverse``
-    the group of every row and ``mass`` each group's probability, summed in
-    table order.
+    ``inverse`` is the group of every row, ``mass`` each group's
+    probability, summed in table order, and ``entropy`` the Shannon entropy
+    (bits) of those masses.
     """
 
-    first: np.ndarray
     inverse: np.ndarray
     mass: np.ndarray
+    entropy: float
 
 
 def _frozen(*arrays):
@@ -114,8 +115,9 @@ class JointSequenceModel:
     Exact quantities come from the integer codes of the table (one
     alphabet index per role and row, in table order), which the model's
     constructors pass in, and from one grouping of those rows per role
-    tuple.  Groupings are derived lazily on first use and memoised on the
-    model; concurrent readers may at worst compute one twice.
+    tuple, which carries its masses and their entropy.  Groupings are
+    derived lazily on first use and memoised on the model; concurrent
+    readers may at worst compute one twice.
     """
 
     roles: tuple[str, ...]
@@ -149,19 +151,18 @@ class JointSequenceModel:
     def _grouping(self, idx):
         group = self._memo.get(idx)
         if group is None:
-            codes, probs = self._codes, self._probs
             if idx:
+                prefix = self._grouping(idx[:-1])
                 radix = len(self.alphabets[self.roles[idx[-1]]])
-                ids = self._grouping(idx[:-1]).inverse * radix + codes[:, idx[-1]]
-                _, first, inverse = np.unique(ids, return_index=True,
-                                              return_inverse=True)
+                inverse, _ = roll(prefix.inverse, len(prefix.mass), radix,
+                                  self._codes[:, idx[-1]])
             else:
-                first = np.zeros(min(1, len(probs)), np.intp)
-                inverse = np.zeros(len(probs), np.intp)
+                inverse = np.zeros(len(self._probs), np.intp)
             # bincount adds the weights one by one in row order, as the
             # running sums out[key] = out.get(key, 0.0) + p would
-            mass = np.bincount(inverse, weights=probs, minlength=len(first))
-            group = self._memo[idx] = Grouping(*_frozen(first, inverse, mass))
+            mass = np.bincount(inverse, weights=self._probs)
+            group = Grouping(*_frozen(inverse, mass), plugin_entropy(mass))
+            self._memo[idx] = group
         return group
 
     def marginal(self, roles):
@@ -172,11 +173,11 @@ class JointSequenceModel:
         """
         idx = tuple(self.role_index(r) for r in roles)
         group = self._grouping(idx)
-        order = np.argsort(group.first)
+        rows = first_rows(group.inverse, len(group.mass))
         keys = list(self.table)
         return {
             tuple(keys[row][i] for i in idx): p
-            for row, p in zip(group.first[order].tolist(), group.mass[order].tolist())
+            for row, p in zip(rows.tolist(), group.mass[group.inverse[rows]].tolist())
         }
 
 
@@ -303,7 +304,8 @@ def marginalize(model, kept_roles):
         raise UnknownRole("kept_roles must be non-empty")
     table = model.marginal(kept)
     # the groups' first rows, in first-occurrence order, are the marginal's rows
-    rows = np.sort(model.grouping(kept).first)
+    group = model.grouping(kept)
+    rows = first_rows(group.inverse, len(group.mass))
     codes = model._codes[np.ix_(rows, [model.role_index(r) for r in kept])]
     alphabets = {r: model.alphabets[r] for r in kept}
     target = model.target_role if model.target_role in kept else None

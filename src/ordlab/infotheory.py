@@ -1,10 +1,11 @@
 """Exact entropy, mutual information and optimal target placement.
 
 All quantities are computed in bits (log base 2) from exact marginals of a
-:class:`~ordlab.distributions.JointSequenceModel`.  The placement machinery
-returns full argmin/argmax *sets* with a 1e-9 tie tolerance; those sets are
-invariant under strictly monotone cost transducers, which is checked rather
-than assumed.
+:class:`~ordlab.distributions.JointSequenceModel`; an entropy is the one the
+model computed when it grouped its table by the entropy's roles.  The
+placement machinery returns full argmin/argmax *sets* with a 1e-9 tie
+tolerance; those sets are invariant under strictly monotone cost
+transducers, which is checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ CMI_CLAMP = 1e-12
 
 def entropy(model, roles):
     """Shannon entropy H (bits) of the marginal over ``roles``."""
-    masses = model.grouping(tuple(roles)).mass.tolist()
-    # 0 * log 0 == 0 by convention; fsum's exact sum does not depend on order
-    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
+    return model.grouping(roles).entropy
 
 
 def conditional_entropy(model, target_role, context_roles):

@@ -1,10 +1,11 @@
 """Per-position conditional entropy estimation and entropy-rate diagnostics.
 
 Estimates use the plug-in (maximum likelihood) estimator on sliding-window
-block counts: H(X_i | X_1..X_{i-1}) = H_block(i) - H_block(i-1).  On top of
-the estimated profiles sit the constant-entropy-rate check, the uniform
-information density classifier, power-law decay fitting and the peak-cost
-functional.
+block counts: H(X_i | X_1..X_{i-1}) = H_block(i) - H_block(i-1).  Blocks
+are grouped, and their entropy taken, by the code that groups an exact
+model's table (``ordlab._grouping``).  On top of the estimated profiles sit
+the constant-entropy-rate check, the uniform information density
+classifier, power-law decay fitting and the peak-cost functional.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 from numbers import Integral
 
 import numpy as np
 
+from ._grouping import first_rows, plugin_entropy, roll
 from .errors import (
     ArityMismatch,
     DegenerateProfile,
@@ -104,21 +106,11 @@ class NGramTable:
             # codes number the tokens by first occurrence: they are the groups
             inverse = self._column(1, self._n)
             self._groups[1] = inverse, np.bincount(inverse)
-        n_codes = len(self._vocabulary)
         for k in range(len(self._groups) + 1, order + 1):
             prefix, sizes = self._groups[k - 1]
             windows = self._windows(k)
-            ids = prefix[:windows] * n_codes + self._column(k, windows)
-            id_range = len(sizes) * n_codes
-            if id_range <= 2 * windows:
-                # dense: count every possible id, then renumber the used ones
-                full = np.bincount(ids, minlength=id_range)
-                used = full > 0
-                self._groups[k] = (np.cumsum(used) - 1)[ids], full[used]
-            else:
-                _, inverse, sizes = np.unique(ids, return_inverse=True,
-                                              return_counts=True)
-                self._groups[k] = inverse, sizes
+            self._groups[k] = roll(prefix[:windows], len(sizes),
+                                   len(self._vocabulary), self._column(k, windows))
         return self._groups[order]
 
     def _counter(self, order):
@@ -128,11 +120,9 @@ class NGramTable:
         if order == 1:
             keys = [(token,) for token in self._vocabulary]
             return Counter(dict(zip(keys, sizes.tolist())))
-        # each block is decoded at its first window; sorting those windows
-        # puts the blocks in order of first occurrence
-        first = np.full(len(sizes), len(inverse))
-        np.minimum.at(first, inverse, np.arange(len(inverse)))
-        starts = np.sort(first)
+        # each block is decoded at its first window, so the blocks come in
+        # order of first occurrence
+        starts = first_rows(inverse, len(sizes))
         tokens = np.fromiter(self._vocabulary, object, len(self._vocabulary))
         columns = [tokens[self._column(k, len(inverse))[starts]].tolist()
                    for k in range(1, order + 1)]
@@ -162,11 +152,8 @@ def block_entropy(table, order):
     total = table.total_positions[order]
     if total == 0:
         raise InsufficientData(f"no windows of order {order}")
-    # equal counts give equal terms: compute each once, and let the exact,
-    # order-free fsum add it as many times as it occurs
-    sizes, repeats = np.unique(table._grouping(order)[1], return_counts=True)
-    terms = ((c / total) * math.log2(c / total) for c in sizes.tolist())
-    return -math.fsum(chain.from_iterable(map(repeat, terms, repeats.tolist())))
+    # below 2**53 the float64 quotient equals Python's c / total
+    return plugin_entropy(table._grouping(order)[1] / total)
 
 
 def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):

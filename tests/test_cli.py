@@ -283,7 +283,8 @@ class TestGenAndScramble:
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
-# input files for the error-contract table, referenced as {name} in argv
+# input files for the error-contract table, referenced as {name} in argv;
+# a str is written as UTF-8, bytes as they are
 BAD_INPUTS = {
     "no_alphabets": json.dumps({"roles": ["y"], "entries": [{"tuple": ["a"], "p": 1}]}),
     "no_roles": json.dumps({"alphabets": {"y": ["a"]}, "entries": []}),
@@ -365,6 +366,17 @@ BAD_INPUTS = {
     "zero_length_contexts": "type,probability,length,ctx1\nx,0.5,0,a\ny,0.5,1,b\n",
     "negative_length_contexts":
         "type,probability,length,ctx1\nx,0.5,-3,a\ny,0.5,1,b\n",
+    "latin1_model": json.dumps(
+        {"roles": ["y"], "alphabets": {"y": ["é"]},
+         "entries": [{"tuple": ["é"], "p": 1}]},
+        ensure_ascii=False,
+    ).encode("latin-1"),
+    "latin1_config": '{"start": "SOV", "label": "é"}'.encode("latin-1"),
+    "latin1_types": "type,probability\né,1.0\n".encode("latin-1"),
+    "bare_ctx_column": "type,probability,length,ctx\nx,1.0,1,a\n",
+    "letter_ctx_column": "type,probability,length,ctxA\nx,1.0,1,a\n",
+    "short_row": "type,probability,length\na,0.5,1\nb,0.5\n",
+    "short_context_row": "type,probability,length,ctx1\nx,0.5,1,a\ny,0.5,1\n",
 }
 
 ERROR_CASES = [
@@ -433,15 +445,29 @@ ERROR_CASES = [
     (["rate", "uid", "--model", "{huge_int_p}"], 1, "input_parse_error"),
     (["rate", "uid", "--model", "{bool_p}"], 1, "input_parse_error"),
     (["rate", "profile", "{five_tokens}", "--max-order", "100000000"], 0, None),
+    (["ring", "distance", "SOV", "XYZ"], 1, "input_parse_error"),
+    (["ring", "neighbors", "abc"], 1, "input_parse_error"),
+    (["ring", "predict", "--from", "xyz", "--ring"], 1, "input_parse_error"),
+    (["placement", "--model", "{latin1_model}"], 1, "input_parse_error"),
+    (["conflict", "--model", "{latin1_model}"], 1, "input_parse_error"),
+    (["rate", "uid", "--model", "{latin1_model}"], 1, "input_parse_error"),
+    (["ring", "simulate", "--config", "{latin1_config}"], 1, "input_parse_error"),
+    (["coding", "--input", "{latin1_types}"], 1, "input_parse_error"),
+    (["coding", "--input", "{bare_ctx_column}"], 1, "input_parse_error"),
+    (["coding", "--input", "{letter_ctx_column}"], 1, "input_parse_error"),
+    (["coding", "--input", "{short_row}"], 1, "input_parse_error"),
+    (["coding", "--input", "{short_context_row}"], 1, "input_parse_error"),
 ]
 
 
 @pytest.mark.parametrize("argv, status, code", ERROR_CASES)
 def test_error_contract(runner, tmp_path, argv, status, code):
     paths = {}
-    for name, text in BAD_INPUTS.items():
+    for name, data in BAD_INPUTS.items():
         paths[name] = str(tmp_path / name)
-        (tmp_path / name).write_text(text)
+        if isinstance(data, str):
+            data = data.encode()
+        (tmp_path / name).write_bytes(data)
     result = runner.invoke(main, [arg.format(**paths) for arg in argv])
     assert result.exit_code == status
     if status == 0:

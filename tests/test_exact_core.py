@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordlab import distributions as d, infotheory, rate
 
@@ -181,6 +181,40 @@ def test_uid_matches_the_dict_loop(data):
         expected = reference_chain_conditionals(model, sequence)
         assert rate.uid_spread(sequence, model) == max(expected) - min(expected)
         assert rate.uid_spread(list(sequence), model) == max(expected) - min(expected)
+
+
+def alphabets(size, *roles):
+    return {r: d.Alphabet(tuple(f"s{j}" for j in range(size))) for r in roles}
+
+
+# A grouping rolls its prefix's groups forward by one role, over an id range
+# of the prefix's group count times the role's alphabet size.  Groups come
+# from a dense count while that range is at most twice the row count and
+# from np.unique above it, so unused symbols push a model past the switch.
+@settings(max_examples=50, deadline=None)
+@given(exact_models())
+# 2 rows over 5 symbols: every range, 5 or 10, is above 4, so every grouping sorts
+@example(d.make_joint(("r0", "r1"), {("s0", "s1"): 0.75, ("s4", "s1"): 0.25},
+                      alphabets(5, "r0", "r1"), "r0"))
+# 27 rows: every range is at most 27, so every grouping counts densely
+@example(d.make_iid({"s0": 0.5, "s1": 0.3, "s2": 0.2}, 3, target_role="x1"))
+# 3 rows: range 3 for one role, then 2 groups times 3 symbols, on the switch
+@example(d.make_joint(("r0", "r1"),
+                      {("s0", "s0"): 0.5, ("s0", "s1"): 0.25, ("s2", "s0"): 0.25},
+                      alphabets(3, "r0", "r1"), "r1"))
+def test_every_role_tuple_on_both_sides_of_the_grouping_switch(model):
+    for k in range(len(model.roles) + 1):
+        for roles in itertools.permutations(model.roles, k):
+            expected = reference_marginal(model, roles)
+            assert list(model.marginal(roles).items()) == list(expected.items())
+            assert infotheory.entropy(model, roles) == reference_entropy(model, roles)
+            if roles:
+                sub = d.marginalize(model, roles)
+                assert list(sub.table.items()) == list(expected.items())
+                assert np.array_equal(
+                    sub._codes, d._encode(roles, sub.alphabets, list(sub.table))
+                )
+    assert rate.uid_classify(model) == rate.UidClassification(*reference_uid(model))
 
 
 def test_mutating_a_returned_marginal_leaves_later_results_alone():
