@@ -230,6 +230,8 @@ def ring_neighbors_cmd(order):
 @click.option("--filter", "filter_name", default=None,
               type=click.Choice(sorted(ring.FILTER_SETS)))
 def ring_predict_cmd(source, use_ring, filter_name):
+    if not use_ring and filter_name is None:
+        raise click.UsageError("give --ring, --filter or both")
     dests = ring.predicted_destinations(_word_order(source), use_ring, filter_name)
     click.echo(",".join(str(o) for o in dests))
 
@@ -333,6 +335,12 @@ def _profile_from_file(path, chars, max_order, cyclic, coverage_cap):
     return rate.conditional_entropy_profile(table, coverage_cap=cap)
 
 
+def _not_nan(ctx, param, value):
+    if math.isnan(value):
+        raise click.BadParameter("must be a number, not nan")
+    return value
+
+
 _rate_input_options = [
     click.argument("corpus", type=click.Path(exists=True)),
     click.option("--chars", is_flag=True, help="Character-level tokenization."),
@@ -340,6 +348,7 @@ _rate_input_options = [
                  type=click.IntRange(min=1)),
     click.option("--cyclic", is_flag=True, help="Wrap-around windows."),
     click.option("--coverage-cap", default=0.2, show_default=True, type=float,
+                 callback=_not_nan,
                  help="Truncate once distinct blocks exceed this share of windows;"
                       " 0 disables."),
 ]
@@ -362,7 +371,8 @@ def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap, output):
 
 @rate_group.command("cer")
 @_with_rate_input
-@click.option("--tolerance", default=0.05, show_default=True, type=float)
+@click.option("--tolerance", default=0.05, show_default=True, type=float,
+              callback=_not_nan)
 def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     verdict = rate.cer_diagnostic(profile, tolerance)

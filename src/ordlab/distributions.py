@@ -1,18 +1,22 @@
 """Exact finite probabilistic sequence models.
 
 A :class:`JointSequenceModel` is a sparse probability table over a tuple of
-named roles (typically one target plus n context roles).  Everything the
-information-theoretic machinery consumes is built from these tables, so
-construction validates mass and arity strictly and renormalizes exactly.
+named roles (typically one target plus n context roles), stored once as
+integer codes, one alphabet index per role and row, and their
+probabilities.  Every builder produces those rows directly; only explicit
+tables are coded from symbol tuples, and ``model.table`` is a read-only
+view decoded from the codes.  Everything the information-theoretic
+machinery consumes is built from these rows, so construction validates
+mass and arity strictly and renormalizes exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -106,32 +110,35 @@ def _frozen(*arrays):
 
 @dataclass(frozen=True)
 class JointSequenceModel:
-    """Sparse exact joint table over named roles.
+    """Sparse exact joint table over named roles, stored as rows of codes.
 
-    ``table`` maps full symbol tuples (one symbol per role, in role order)
-    to probabilities.  Zero-probability tuples are omitted.  Immutable after
-    construction; safe for concurrent reads.
-
-    Exact quantities come from the integer codes of the table (one
-    alphabet index per role and row, in table order), which the model's
-    constructors pass in, and from one grouping of those rows per role
-    tuple, which carries its masses and their entropy.  Groupings are
-    derived lazily on first use and memoised on the model; concurrent
-    readers may at worst compute one twice.
+    ``_codes`` holds each row's alphabet index per role and ``_probs`` its
+    probability, in table order, with no zero rows; ``table`` is a read-only
+    view of them.  The decoded table and the groupings of the rows are
+    memoised on first use; concurrent readers may at worst compute one twice.
     """
 
     roles: tuple[str, ...]
     alphabets: dict[str, Alphabet]
-    table: dict[tuple[str, ...], float]
+    _codes: np.ndarray = field(compare=False, repr=False)
+    _probs: np.ndarray = field(compare=False, repr=False)
     target_role: str | None = None
-    _codes: np.ndarray = field(kw_only=True, compare=False, repr=False)
-    _probs: np.ndarray = field(init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        probs = np.fromiter(self.table.values(), np.float64, len(self.table))
-        object.__setattr__(self, "_probs", probs)
-        _frozen(self._codes, probs)
+        _frozen(self._codes, self._probs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.roles, self.alphabets, self.target_role, self.table)
+                == (other.roles, other.alphabets, other.target_role, other.table))
+
+    @property
+    def table(self):
+        if "table" not in self._memo:
+            self._memo["table"] = self.marginal(self.roles)
+        return MappingProxyType(self._memo["table"])
 
     def role_index(self, role):
         try:
@@ -165,29 +172,33 @@ class JointSequenceModel:
             self._memo[idx] = group
         return group
 
-    def marginal(self, roles):
-        """Summed-out table keeping only ``roles`` (in the given order).
-
-        Keys appear in order of first occurrence in ``table``; the dict is
-        the caller's own.
-        """
-        idx = tuple(self.role_index(r) for r in roles)
+    def _groups(self, idx):
+        """Codes on ``idx`` and mass of each group at its first row, in row order."""
         group = self._grouping(idx)
         rows = first_rows(group.inverse, len(group.mass))
-        keys = list(self.table)
-        return {
-            tuple(keys[row][i] for i in idx): p
-            for row, p in zip(rows.tolist(), group.mass[group.inverse[rows]].tolist())
-        }
+        return self._codes[np.ix_(rows, idx)], group.mass[group.inverse[rows]]
+
+    def marginal(self, roles):
+        """The caller's own table summed over ``roles``, keyed in their order.
+
+        Keys appear in order of first occurrence in ``table``.
+        """
+        idx = tuple(self.role_index(r) for r in roles)
+        codes, mass = self._groups(idx)
+        columns = [map(self.alphabets[self.roles[i]].symbols.__getitem__, c)
+                   for i, c in zip(idx, codes.T.tolist())]
+        return dict(zip(zip(*columns) if idx else [()], mass.tolist()))
+
+
+def _arity_error(key, n):
+    return ArityMismatch(f"tuple {key!r} has arity {len(key)}, expected {n}")
 
 
 def _encode(roles, alphabets, keys):
-    """(K, n_roles) int64 alphabet indices of ``keys``, one row per key.
+    """(K, n_roles) int64 alphabet indices of an explicit table's ``keys``.
 
-    The one place where a model's symbols meet its alphabets.  A key of the
-    wrong arity raises ArityMismatch and a symbol outside its role's
-    alphabet UnknownRole.  The first bad key in ``keys`` order wins, and
-    within a key arity is checked before symbols.
+    A key of the wrong arity raises ArityMismatch and a symbol outside its
+    role's alphabet UnknownRole; the first bad key wins, arity before symbols.
     """
     n, k = len(roles), len(keys)
     index = [{s: i for i, s in enumerate(alphabets[r])} for r in roles]
@@ -201,32 +212,35 @@ def _encode(roles, alphabets, keys):
             pass
     for key in keys:
         if len(key) != n:
-            raise ArityMismatch(f"tuple {key!r} has arity {len(key)}, expected {n}")
+            raise _arity_error(key, n)
         for role, known, symbol in zip(roles, index, key):
             if symbol not in known:
                 raise UnknownRole(f"symbol {symbol!r} not in alphabet of role {role!r}")
 
 
-def _validate_and_normalize(roles, alphabets, table, target_role):
+def _distinct(roles):
     roles = tuple(roles)
     if len(set(roles)) != len(roles):
         raise RoleOverlap(f"duplicate role labels in {roles!r}")
-    codes = _encode(roles, alphabets, table)
-    mass = check_mass(table.values(), "total")
-    clean = {k: p for k, p in table.items() if p > 0.0}
-    if len(clean) < len(table):
-        codes = codes[np.fromiter(table.values(), np.float64, len(table)) > 0.0]
+    return roles
+
+
+def _model(roles, alphabets, codes, values, target_role):
+    """The model of rows ``codes`` with masses ``values``, checked and renormalised."""
+    mass = check_mass(values, "total")
+    probs = np.array(values, np.float64)
+    codes, probs = codes[probs > 0.0], probs[probs > 0.0]
     if mass != 1.0:
-        clean = {k: p / mass for k, p in clean.items()}
-        # nudge the heaviest entry so the fsum is exactly 1.0; this makes
+        probs /= mass
+        # nudge the first heaviest row so the fsum is exactly 1.0; this makes
         # normalization idempotent and the file format round-trip bit-exact
-        largest = max(clean, key=clean.get)
+        largest = np.argmax(probs)
         for _ in range(16):
-            residual = 1.0 - math.fsum(clean.values())
+            residual = 1.0 - math.fsum(probs.tolist())
             if residual == 0.0:
                 break
-            clean[largest] += residual
-    return JointSequenceModel(roles, dict(alphabets), clean, target_role, _codes=codes)
+            probs[largest] += residual
+    return JointSequenceModel(roles, dict(alphabets), codes, probs, target_role)
 
 
 def make_joint(roles, table, alphabets=None, target_role=None):
@@ -237,17 +251,14 @@ def make_joint(roles, table, alphabets=None, target_role=None):
     """
     roles = tuple(roles)
     if alphabets is None:
-        seen: dict[str, list[str]] = {r: [] for r in roles}
         for key in table:
             if len(key) != len(roles):
-                raise ArityMismatch(
-                    f"tuple {key!r} has arity {len(key)}, expected {len(roles)}"
-                )
-            for role, symbol in zip(roles, key):
-                if symbol not in seen[role]:
-                    seen[role].append(symbol)
-        alphabets = {r: Alphabet(tuple(sorted(seen[r]))) for r in roles}
-    return _validate_and_normalize(roles, alphabets, table, target_role)
+                raise _arity_error(key, len(roles))
+        columns = list(zip(*table)) or [()] * len(roles)
+        alphabets = {r: Alphabet(tuple(sorted(set(c)))) for r, c in zip(roles, columns)}
+    roles = _distinct(roles)
+    codes = _encode(roles, alphabets, list(table))
+    return _model(roles, alphabets, codes, list(table.values()), target_role)
 
 
 def make_iid(marginal, n_roles, roles=None, target_role=None):
@@ -258,15 +269,13 @@ def make_iid(marginal, n_roles, roles=None, target_role=None):
     if len(roles) != n_roles:
         raise ValueError("roles length must equal n_roles")
     check_mass(marginal.values(), "marginal")
-    symbols = tuple(marginal)
-    alphabet = Alphabet(symbols)
-    table = {}
-    for combo in itertools.product(symbols, repeat=n_roles):
-        p = math.prod(marginal[s] for s in combo)
-        if p > 0:
-            table[combo] = p
-    alphabets = {r: alphabet for r in roles}
-    return _validate_and_normalize(roles, alphabets, table, target_role)
+    alphabet = Alphabet(tuple(marginal))
+    # rows in itertools.product order; masses multiplied left to right
+    v = len(alphabet)
+    codes = np.indices((v,) * n_roles, np.int64).reshape(n_roles, v**n_roles).T
+    probs = np.multiply.reduce(np.array(list(marginal.values()), np.float64)[codes.T])
+    return _model(_distinct(roles), {r: alphabet for r in roles}, codes, probs,
+                  target_role)
 
 
 def make_markov(initial, transition, length, roles=None, target_role=None):
@@ -276,25 +285,27 @@ def make_markov(initial, transition, length, roles=None, target_role=None):
     _check_chain(initial, transition)
     if roles is None:
         roles = tuple(f"x{i}" for i in range(1, length + 1))
-    roles = tuple(roles)
-    all_states = sorted(set(initial) | set(transition))
-    alphabet = Alphabet(tuple(all_states))
-    table = {}
-
-    def extend(prefix, p):
-        if p == 0.0:
-            return
-        if len(prefix) == length:
-            table[prefix] = table.get(prefix, 0.0) + p
-            return
-        row = transition[prefix[-1]]
-        for nxt, q in row.items():
-            extend(prefix + (nxt,), p * q)
-
-    for state, p0 in initial.items():
-        extend((state,), p0)
-    alphabets = {r: alphabet for r in roles}
-    return _validate_and_normalize(roles, alphabets, table, target_role)
+    alphabet = Alphabet(tuple(sorted(set(initial) | set(transition))))
+    index = {s: i for i, s in enumerate(alphabet)}
+    # paths grow depth first, in row order, from a root whose row is initial,
+    # and stop at mass 0.0, so they stay on reachable states and off the padding
+    rows = [transition.get(s, {}) for s in alphabet] + [initial]
+    width = max(map(len, rows))
+    nexts = np.zeros((len(rows), width), np.int64)
+    steps = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        nexts[i, :len(row)] = [index.get(s, 0) for s in row]
+        steps[i, :len(row)] = list(row.values())
+    codes, probs = np.full((1, 1), len(rows) - 1), np.ones(1)
+    for _ in range(length):
+        probs = (probs[:, None] * steps[codes[:, -1]]).ravel()
+        codes = np.column_stack((codes.repeat(width, 0), nexts[codes[:, -1]].ravel()))
+        codes, probs = codes[probs != 0.0], probs[probs != 0.0]
+    codes, roles = codes[:, 1:], _distinct(roles)
+    if len(roles) != length and len(codes):
+        key = tuple(alphabet.symbols[c] for c in codes[0].tolist())
+        raise _arity_error(key, len(roles))
+    return _model(roles, {r: alphabet for r in roles}, codes, probs, target_role)
 
 
 def marginalize(model, kept_roles):
@@ -302,14 +313,10 @@ def marginalize(model, kept_roles):
     kept = tuple(kept_roles)
     if not kept:
         raise UnknownRole("kept_roles must be non-empty")
-    table = model.marginal(kept)
-    # the groups' first rows, in first-occurrence order, are the marginal's rows
-    group = model.grouping(kept)
-    rows = first_rows(group.inverse, len(group.mass))
-    codes = model._codes[np.ix_(rows, [model.role_index(r) for r in kept])]
+    codes, mass = model._groups(tuple(model.role_index(r) for r in kept))
     alphabets = {r: model.alphabets[r] for r in kept}
     target = model.target_role if model.target_role in kept else None
-    return JointSequenceModel(kept, alphabets, table, target, _codes=codes)
+    return JointSequenceModel(kept, alphabets, codes, mass, target)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +405,7 @@ def scramble(sequence, seed):
 
 def model_to_json(model):
     # rows in lexicographic order of their codes; lexsort's last key is primary
-    keys = model._codes.T[::-1]
-    order = np.lexsort(keys).tolist() if len(keys) else range(len(model.table))
+    order = np.lexsort(model._codes.T[::-1]).tolist() if model.roles else [0]
     items = list(model.table.items())
     entries = [{"tuple": list(items[i][0]), "p": items[i][1]} for i in order]
     doc = {
@@ -428,7 +434,9 @@ def model_from_json(text):
         except OverflowError:
             raise InputParseError("bad model document: an integer p is too large "
                                   "for a float") from None
-    return _validate_and_normalize(roles, alphabets, table, doc.get("target"))
+    roles = _distinct(roles)
+    codes = _encode(roles, alphabets, list(table))
+    return _model(roles, alphabets, codes, list(table.values()), doc.get("target"))
 
 
 def save_model(model, path):

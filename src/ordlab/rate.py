@@ -14,7 +14,6 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral
 
 import numpy as np
@@ -271,10 +270,11 @@ def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
         row = int(np.argmax(spreads))  # the first row reaching the maximum
         if spreads[row] > 0.0:
             worst = float(spreads[row])
-            offender = next(islice(model.table, row, None))
+            offender = tuple(model.alphabets[r].symbols[c]
+                             for r, c in zip(model.roles, model._codes[row].tolist()))
     if worst > tolerance:
         return UidClassification("neither", worst, offender)
-    full_support = len(model.table) == cardinality
+    full_support = len(group.mass) == cardinality
     return UidClassification("full_uid" if full_support else "strong_uid", worst, None)
 
 

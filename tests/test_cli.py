@@ -457,6 +457,10 @@ ERROR_CASES = [
     (["coding", "--input", "{letter_ctx_column}"], 1, "input_parse_error"),
     (["coding", "--input", "{short_row}"], 1, "input_parse_error"),
     (["coding", "--input", "{short_context_row}"], 1, "input_parse_error"),
+    (["ring", "predict", "--from", "SOV"], 2, None),
+    (["rate", "cer", "{corpus}", "--tolerance", "nan"], 2, None),
+    *((["rate", command, "{corpus}", "--coverage-cap", "nan"], 2, None)
+      for command in ("profile", "cer", "hilberg", "peak")),
 ]
 
 

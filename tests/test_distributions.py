@@ -1,9 +1,11 @@
+import itertools
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordlab import distributions as d
 from ordlab._rng import substream
@@ -12,6 +14,7 @@ from ordlab.errors import (
     MassOutOfTolerance,
     NegativeProbability,
     NonStochasticRow,
+    RoleOverlap,
     UnknownRole,
 )
 
@@ -250,3 +253,168 @@ class TestModelFile:
         d.save_model(m2, path)
         assert path.read_bytes() == first
         assert m2.table == m.table
+
+
+# ---------------------------------------------------------------------------
+# Builders against the tuple-keyed loops they replaced
+
+
+def reference_normalize(table):
+    """The dict renormalisation that model construction ran on tuple keys."""
+    mass = math.fsum(table.values())
+    clean = {k: p for k, p in table.items() if p > 0.0}
+    if mass != 1.0:
+        clean = {k: p / mass for k, p in clean.items()}
+        largest = max(clean, key=clean.get)
+        for _ in range(16):
+            residual = 1.0 - math.fsum(clean.values())
+            if residual == 0.0:
+                break
+            clean[largest] += residual
+    return clean
+
+
+def reference_iid_table(marginal, n_roles):
+    """make_iid's product loop over tuple keys."""
+    table = {}
+    for combo in itertools.product(tuple(marginal), repeat=n_roles):
+        p = math.prod(marginal[s] for s in combo)
+        if p > 0:
+            table[combo] = p
+    return table
+
+
+def reference_markov_table(initial, transition, length):
+    """make_markov's depth-first recursion over tuple keys."""
+    table = {}
+
+    def extend(prefix, p):
+        if p == 0.0:
+            return
+        if len(prefix) == length:
+            table[prefix] = table.get(prefix, 0.0) + p
+            return
+        for nxt, q in transition[prefix[-1]].items():
+            extend(prefix + (nxt,), p * q)
+
+    for state, p0 in initial.items():
+        extend((state,), p0)
+    return table
+
+
+# masses that are zero, that underflow once multiplied, and ordinary ones
+MASSES = st.sampled_from([0.0, 1e-170, 3e-120, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.01, 1.0)
+
+
+def _weights(draw, symbols):
+    """Shuffled symbols with masses summing to 1 within 1e-12, one positive."""
+    symbols = draw(st.permutations(symbols))
+    weights = draw(st.lists(MASSES, min_size=len(symbols), max_size=len(symbols)))
+    if max(weights) < 0.01:
+        weights[draw(st.integers(0, len(symbols) - 1))] = 1.0
+    total = math.fsum(weights)
+    return {s: w / total for s, w in zip(symbols, weights)}
+
+
+def _same_rows(model, expected):
+    assert list(model.table.items()) == list(reference_normalize(expected).items())
+    assert all(type(p) is float for p in model.table.values())
+    assert model._codes.dtype == np.int64
+    assert np.array_equal(
+        model._codes, d._encode(model.roles, model.alphabets, list(model.table))
+    )
+    assert np.array_equal(model._probs, list(model.table.values()))
+
+
+class TestBuildersMatchTheTupleLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_make_iid(self, data):
+        n = data.draw(st.integers(1, 4))
+        marginal = _weights(data.draw, [f"s{i}" for i in range(n)])
+        length = data.draw(st.integers(1, 5))
+        model = d.make_iid(marginal, length)
+        assert model.alphabets["x1"].symbols == tuple(marginal)
+        _same_rows(model, reference_iid_table(marginal, length))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_make_markov(self, data):
+        states = [f"s{i}" for i in range(data.draw(st.integers(1, 4)))]
+        initial = _weights(data.draw, states)
+        transition = {}
+        for state in data.draw(st.permutations(states)):
+            row = _weights(data.draw, states)
+            if data.draw(st.booleans()):
+                row["outside"] = 0.0  # a successor no path of positive mass takes
+            transition[state] = row
+        length = data.draw(st.integers(1, 5))
+        model = d.make_markov(initial, transition, length)
+        _same_rows(model, reference_markov_table(initial, transition, length))
+
+    def test_products_that_underflow_are_dropped(self):
+        model = d.make_iid({"a": 1.0, "b": 1e-200}, 2)
+        assert model.table == {("a", "a"): 1.0, ("a", "b"): 1e-200, ("b", "a"): 1e-200}
+
+    def test_no_roles(self):
+        assert d.make_iid({"a": 0.5, "b": 0.5}, 0).table == {(): 1.0}
+        assert d.make_joint((), {(): 1.0}).table == {(): 1.0}
+
+
+class TestTableView:
+    @pytest.mark.parametrize("build", [
+        lambda: d.make_joint(("a", "b"), {("x", "x"): 0.5, ("x", "y"): 0.5}),
+        lambda: d.make_iid({"x": 0.5, "y": 0.5}, 2),
+        lambda: d.make_markov({"x": 1.0}, {"x": {"x": 0.5, "y": 0.5}, "y": {"y": 1.0}}, 2),
+        lambda: d.marginalize(d.make_iid({"x": 0.5, "y": 0.5}, 3), ("x3", "x1")),
+    ])
+    def test_assigning_to_the_table_raises(self, build):
+        model = build()
+        before = d.model_to_json(model)
+        with pytest.raises(TypeError):
+            model.table[("x", "x")] = 0.1
+        with pytest.raises(TypeError):
+            model.table[("z", "z")] = 0.1
+        assert d.model_to_json(model) == before
+
+    def test_equality_compares_the_table(self):
+        a = d.make_joint(("t",), {("x",): 0.5, ("y",): 0.5})
+        b = d.make_joint(("t",), {("y",): 0.5, ("x",): 0.5})
+        c = d.make_joint(("t",), {("x",): 0.25, ("y",): 0.75})
+        assert a == b
+        assert a != c
+        assert "table" not in repr(a)
+
+    def test_an_integer_p_reads_back_as_a_float(self):
+        text = json.dumps({"roles": ["y"], "alphabets": {"y": ["a", "b"]},
+                           "entries": [{"tuple": ["a"], "p": 1}]})
+        model = d.model_from_json(text)
+        assert list(model.table.items()) == [(("a",), 1.0)]
+        assert type(model.table[("a",)]) is float
+        assert '"p": 1.0' in d.model_to_json(model)
+        assert type(d.make_iid({"a": 1}, 2).table[("a", "a")]) is float
+
+
+class TestBuilderErrorPrecedence:
+    chain = ({"x": 1.0}, {"x": {"x": 1.0}})
+
+    def test_markov_role_count_is_an_arity_error_after_role_overlap(self):
+        with pytest.raises(ArityMismatch, match=r"tuple \('x', 'x', 'x'\) has arity 3, "
+                                                r"expected 2"):
+            d.make_markov(*self.chain, 3, roles=("a", "b"))
+        with pytest.raises(RoleOverlap):
+            d.make_markov(*self.chain, 3, roles=("a", "a"))
+
+    def test_inferred_alphabets_check_arity_before_role_overlap(self):
+        with pytest.raises(ArityMismatch):
+            d.make_joint(("a", "a"), {("x", "x"): 0.5, ("x",): 0.5})
+        with pytest.raises(RoleOverlap):
+            d.make_joint(("a", "a"), {("x", "x"): 1.0})
+        with pytest.raises(ValueError, match="alphabet must be non-empty"):
+            d.make_joint(("a",), {})
+
+    def test_iid_checks_the_marginal_before_role_overlap(self):
+        with pytest.raises(MassOutOfTolerance, match="marginal"):
+            d.make_iid({"x": 0.5}, 2, roles=("a", "a"))
+        with pytest.raises(RoleOverlap):
+            d.make_iid({"x": 1.0}, 2, roles=("a", "a"))
