@@ -46,7 +46,8 @@ def plugin_entropy(masses):
     # np.log2, whose last bit can differ; the float64 product is Python's
     values, repeats = np.unique(masses[masses > 0.0], return_counts=True)
     logs = np.fromiter(map(math.log2, values.tolist()), np.float64, len(values))
-    return -math.fsum((values * logs).repeat(repeats).tolist())
+    # 0.0 - x, not -x: the same bits for a nonzero sum, and +0.0 for zero
+    return 0.0 - math.fsum((values * logs).repeat(repeats).tolist())
 
 
 def first_rows(inverse, n_groups):

@@ -72,7 +72,7 @@ def ideal_lengths(probabilities):
     probabilities = tuple(probabilities)
     if not all(p > 0 for p in probabilities):
         raise ZeroProbability("all probabilities must be positive")
-    return tuple(-math.log2(p) for p in probabilities)
+    return tuple(0.0 - math.log2(p) for p in probabilities)  # p = 1 gives +0.0
 
 
 def optimal_lengths(probabilities, allow_full_reduction=False):
@@ -174,13 +174,15 @@ class AbbreviationVerdict:
 def abbreviation_check(table):
     """Zipf's law of abbreviation at optimal coding: tau(p, l) <= 0.
 
-    An all-tied table has no defined correlation; the verdict then holds
-    vacuously.
+    An all-tied table, one type included, has no defined correlation; the
+    verdict then holds vacuously.
     """
     if isinstance(table, ContextTable):
         pairs = [(p, l) for p, l in table.entries.values()]
     else:
         pairs = list(zip(table.probabilities, table.lengths))
+    if len(pairs) < 2:
+        return AbbreviationVerdict(True, None, True)
     try:
         tau = kendall_tau(pairs)
     except AllTied:

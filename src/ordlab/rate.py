@@ -310,8 +310,13 @@ class HilbergFit:
 def hilberg_fit(profile, variant="relaxed"):
     """Least-squares fit of a * i^-gamma (+ b) by gamma grid search.
 
-    For each gamma on the grid the best nonnegative (a, b) follow from a
-    closed-form linear solve; the gamma with the smallest RMS residual wins.
+    Every gamma on the grid is solved in one array pass: row g of
+    F = i^-gamma_g holds the regressor, the best nonnegative (a, b) of each
+    row follow in closed form, and the first gamma with the smallest RMS
+    residual wins.  The free (a, b) fit is solved on the centred F and y,
+    which stays accurate where F is nearly constant (small gamma, short
+    profiles); where it leaves the nonnegative quadrant, the optimum lies on
+    the edge b = 0 or a = 0, whichever has the smaller squared error.
     """
     if variant not in ("pure", "relaxed"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -321,24 +326,24 @@ def hilberg_fit(profile, variant="relaxed"):
     if y.max() - y.min() <= 1e-12:
         raise DegenerateProfile("constant profile: gamma is unidentifiable")
     i = np.arange(1, len(y) + 1, dtype=float)
-    best = None
-    for gamma in GAMMA_GRID:
-        f = i ** -gamma
-        a, b = max(0.0, float(f @ y) / float(f @ f)), 0.0  # best fit with b = 0
-        if variant == "relaxed":
-            design = np.column_stack([f, np.ones_like(f)])
-            coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-            if coef[0] >= 0 and coef[1] >= 0:
-                a, b = float(coef[0]), float(coef[1])
-            else:  # the nonnegative optimum lies on the edge b = 0 or a = 0
-                b_edge = max(0.0, float(y.mean()))
-                if np.sum((y - b_edge) ** 2) < np.sum((y - a * f) ** 2):
-                    a, b = 0.0, b_edge
-        residual = y - (a * f + b)
-        rms = float(np.sqrt(np.mean(residual**2)))
-        if best is None or rms < best.rms_residual:
-            best = HilbergFit(a, float(gamma), b, variant, rms)
-    return best
+    f = i ** -GAMMA_GRID[:, None]  # one row per gamma
+    a = np.maximum(0.0, (f @ y) / np.sum(f * f, axis=1))  # best fit with b = 0
+    b = np.zeros_like(a)
+    if variant == "relaxed":
+        y_mean, f_mean = y.mean(), f.mean(axis=1)
+        f_centred = f - f_mean[:, None]
+        a_free = (f_centred @ (y - y_mean)) / np.sum(f_centred * f_centred, axis=1)
+        b_free = y_mean - a_free * f_mean
+        b_edge = max(0.0, float(y_mean))
+        edge_sse = np.sum((y - a[:, None] * f) ** 2, axis=1)  # on the edge b = 0
+        offset_only = np.sum((y - b_edge) ** 2) < edge_sse
+        free = (a_free >= 0) & (b_free >= 0)
+        a = np.where(free, a_free, np.where(offset_only, 0.0, a))
+        b = np.where(free, b_free, np.where(offset_only, b_edge, 0.0))
+    rms = np.sqrt(np.mean((y - (a[:, None] * f + b[:, None])) ** 2, axis=1))
+    k = int(np.argmin(rms))
+    return HilbergFit(float(a[k]), float(GAMMA_GRID[k]), float(b[k]), variant,
+                      float(rms[k]))
 
 
 def peak_cost(profile):

@@ -161,6 +161,16 @@ class TestAbbreviationCheck:
         assert verdict.all_tied
         assert verdict.tau is None
 
+    @pytest.mark.parametrize("allow_full_reduction", [False, True])
+    def test_vacuous_for_one_type(self, allow_full_reduction):
+        lengths = coding.optimal_lengths((1.0,), allow_full_reduction)
+        for table in (coding.TypeTable((1.0,), lengths, allow_full_reduction),
+                      coding.ContextTable({(("a",), "only"): (1.0, lengths[0])}, 1)):
+            verdict = coding.abbreviation_check(table)
+            assert verdict.holds
+            assert verdict.all_tied
+            assert verdict.tau is None
+
     def test_anti_optimal_fails(self):
         table = coding.TypeTable((0.5, 0.25, 0.25), (3, 2, 1))
         verdict = coding.abbreviation_check(table)
@@ -250,3 +260,7 @@ class TestIdealLengths:
     def test_values(self):
         got = coding.ideal_lengths((0.5, 0.25))
         assert got == (1.0, 2.0)
+
+    def test_certain_type_has_positive_zero_length(self):
+        (length,) = coding.ideal_lengths((1.0,))
+        assert math.copysign(1.0, length) == 1.0

@@ -45,6 +45,13 @@ class TestEntropy:
         m = d.make_iid({"a": 1.0}, 2)
         assert it.entropy(m, ("x1",)) == 0.0
 
+    def test_deterministic_model_has_positive_zero_entropy(self):
+        m = d.make_joint(("y", "x1"), {("a", "b"): 1.0})
+        for roles in (("y",), ("x1",), ("y", "x1")):
+            h = it.entropy(m, roles)
+            assert h == 0.0
+            assert math.copysign(1.0, h) == 1.0
+
     def test_dyadic_three_symbols(self):
         m = d.make_iid({"a": 0.5, "b": 0.25, "c": 0.25}, 1)
         assert it.entropy(m, ("x1",)) == pytest.approx(1.5, abs=1e-12)

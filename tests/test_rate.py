@@ -326,6 +326,49 @@ class TestUid:
             rate.uid_spread(("a",), m)
 
 
+def reference_hilberg_fit(y, variant):
+    """The per-gamma loop hilberg_fit replaced: one lstsq per grid point."""
+    i = np.arange(1, len(y) + 1, dtype=float)
+    best = None
+    for gamma in rate.GAMMA_GRID:
+        f = i ** -gamma
+        a, b = max(0.0, float(f @ y) / float(f @ f)), 0.0  # best fit with b = 0
+        if variant == "relaxed":
+            design = np.column_stack([f, np.ones_like(f)])
+            coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+            if coef[0] >= 0 and coef[1] >= 0:
+                a, b = float(coef[0]), float(coef[1])
+            else:  # the nonnegative optimum lies on the edge b = 0 or a = 0
+                b_edge = max(0.0, float(y.mean()))
+                if np.sum((y - b_edge) ** 2) < np.sum((y - a * f) ** 2):
+                    a, b = 0.0, b_edge
+        residual = y - (a * f + b)
+        rms = float(np.sqrt(np.mean(residual**2)))
+        if best is None or rms < best.rms_residual:
+            best = rate.HilbergFit(a, float(gamma), b, variant, rms)
+    return best
+
+
+@st.composite
+def hilberg_profiles(draw):
+    """Noisy power laws, exact power laws on the gamma grid, random walks."""
+    n = draw(st.integers(3, 19))
+    kind = draw(st.sampled_from(["noisy", "on_grid", "walk"]))
+    if kind == "walk":  # as in test_fallback_matches_nnls_reference
+        start = draw(st.integers(0, 300))
+        steps = draw(st.lists(st.integers(-100, 100), min_size=n - 1, max_size=n - 1))
+        return np.cumsum([start, *steps]) / 100.0
+    i = np.arange(1, n + 1, dtype=float)
+    a = draw(st.floats(0.05, 5.0))
+    b = draw(st.sampled_from([0.0, 0.1, 0.75]) | st.floats(0.0, 2.0))
+    if kind == "on_grid":
+        gamma = rate.GAMMA_GRID[draw(st.integers(0, len(rate.GAMMA_GRID) - 1))]
+        return a * i**-gamma + b
+    gamma = draw(st.floats(0.0, 2.0))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    return a * i**-gamma + b + draw(st.floats(1e-4, 0.3)) * noise
+
+
 class TestHilberg:
     def test_relaxed_recovers_planted_parameters(self):
         a, gamma, b = 2.5, 0.5, 0.75
@@ -381,6 +424,18 @@ class TestHilberg:
         assert abs(fit.a - a) <= 1e-12
         assert abs(fit.b - b) <= 1e-12
         assert abs(fit.rms_residual - rms) <= 1e-12
+
+    @settings(deadline=None)  # the reference runs 291 least-squares solves
+    @given(hilberg_profiles(), st.sampled_from(["pure", "relaxed"]))
+    def test_matches_the_per_gamma_loop(self, y, variant):
+        assume(y.max() - y.min() > 1e-12)
+        want = reference_hilberg_fit(y, variant)
+        fit = rate.hilberg_fit(EntropyProfile(y, "rate", strict=False), variant)
+        assert fit.gamma == want.gamma
+        assert fit.variant == variant
+        assert abs(fit.a - want.a) <= 1e-12
+        assert abs(fit.b - want.b) <= 1e-12
+        assert abs(fit.rms_residual - want.rms_residual) <= 1e-12
 
     def test_constant_profile_degenerate(self):
         with pytest.raises(DegenerateProfile):
