@@ -461,36 +461,9 @@ def coding_cmd(input_path, allow_full_reduction, output):
         given = [int(r["length"]) for r in rows] if has_length else None
     except (KeyError, ValueError) as exc:
         raise InputParseError(f"bad coding table: {exc}") from None
-    distributions.check_mass(probs, "coding table")
-    lengths = given or list(coding.optimal_lengths(probs, allow_full_reduction))
-    ideal = coding.ideal_lengths(probs)
-    out_rows = [
-        (",".join(ctx) if ctx else "", t, repr(p), l, repr(h))
-        for ctx, t, p, l, h in zip(contexts, types, probs, lengths, ideal)
-    ]
-    text = _csv_text(("context", "type", "probability", "length", "ideal_length"),
-                     out_rows)
-    # built on both paths, so its length floor applies to contextual tables too
-    table = coding.TypeTable(probs, lengths, allow_full_reduction)
-    if context_cols:
-        table = coding.ContextTable(
-            {
-                (ctx, t): (p, l)
-                for ctx, t, p, l in zip(contexts, types, probs, lengths)
-            },
-            context_order=len(context_cols),
-        )
-        text += f"L_n,{repr(coding.contextual_mean_length(table))}\n"
-        for y in table.targets():
-            text += f"L_n_y,{y},{repr(coding.per_target_length(table, y))}\n"
-            text += f"M_n_y,{y},{repr(coding.renormalized_length(table, y))}\n"
-    else:
-        text += f"L,{repr(coding.mean_length(table))}\n"
-    verdict = coding.abbreviation_check(table)
-    tau_repr = "undefined" if verdict.tau is None else repr(verdict.tau)
-    text += f"tau,{tau_repr}\n"
-    text += f"abbreviation_holds,{int(verdict.holds)}\n"
-    _emit(text, output)
+    data, summary = coding.report(types, probs, contexts, given, allow_full_reduction)
+    header = ("context", "type", "probability", "length", "ideal_length")
+    _emit(_csv_text(header, data + summary), output)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,18 @@ from .distributions import check_mass
 from .errors import (
     AllTied,
     ArityMismatch,
+    InputParseError,
     LengthBelowFloor,
     UnknownTarget,
     ZeroProbability,
     ZeroTargetMass,
 )
+
+
+def _check_floor(lengths, allow_full_reduction):
+    floor = 0 if allow_full_reduction else 1
+    if any(l < floor for l in lengths):
+        raise LengthBelowFloor(f"lengths must be >= {floor}")
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,11 @@ class TypeTable:
         if len(self.probabilities) != len(self.lengths):
             raise ArityMismatch("probabilities and lengths must align")
         check_mass(self.probabilities, "type table")
-        floor = 0 if self.allow_full_reduction else 1
-        if any(l < floor for l in self.lengths):
-            raise LengthBelowFloor(f"lengths must be >= {floor}")
+        _check_floor(self.lengths, self.allow_full_reduction)
+
+    def pairs(self):
+        """(probability, length) per type."""
+        return zip(self.probabilities, self.lengths)
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,18 @@ class ContextTable:
 
     entries: dict[tuple[tuple, str], tuple[float, int]]
     context_order: int
+    allow_full_reduction: bool = False
 
     def __post_init__(self):
         for (context, _), _ in self.entries.items():
             if len(context) != self.context_order:
                 raise ArityMismatch("context arity mismatch")
         check_mass((p for p, _ in self.entries.values()), "context table")
+        _check_floor((l for _, l in self.pairs()), self.allow_full_reduction)
+
+    def pairs(self):
+        """(probability, length) per (context, target) entry."""
+        return self.entries.values()
 
     def targets(self):
         return sorted({y for (_, y) in self.entries})
@@ -94,13 +109,11 @@ def optimal_lengths(probabilities, allow_full_reduction=False):
 
 
 def mean_length(table):
-    """L = sum p_i l_i."""
-    return math.fsum(p * l for p, l in zip(table.probabilities, table.lengths))
+    """L = sum p l over the table's pairs; L_n on a context table (L when n = 0)."""
+    return math.fsum(p * l for p, l in table.pairs())
 
 
-def contextual_mean_length(table):
-    """L_n = sum over (context, y) of p * l; reduces to L when n = 0."""
-    return math.fsum(p * l for p, l in table.entries.values())
+contextual_mean_length = mean_length
 
 
 def per_target_length(table, y):
@@ -177,10 +190,7 @@ def abbreviation_check(table):
     An all-tied table, one type included, has no defined correlation; the
     verdict then holds vacuously.
     """
-    if isinstance(table, ContextTable):
-        pairs = [(p, l) for p, l in table.entries.values()]
-    else:
-        pairs = list(zip(table.probabilities, table.lengths))
+    pairs = list(table.pairs())
     if len(pairs) < 2:
         return AbbreviationVerdict(True, None, True)
     try:
@@ -193,3 +203,33 @@ def abbreviation_check(table):
 def kraft_sum(lengths):
     """sum 2^-l; <= 1 for any uniquely decipherable code."""
     return math.fsum(2.0 ** -l for l in lengths)
+
+
+def report(types, probabilities, contexts, lengths=None, allow_full_reduction=False):
+    """Data rows (context, type, p, length, ideal length) and summary rows.
+
+    Each context is a tuple, () in a plain table; missing lengths are optimal.
+    Summary: L, or L_n then L_n(y), M_n(y) per sorted target; tau, verdict.
+    """
+    check_mass(probabilities, "coding table")
+    if lengths is None:
+        lengths = optimal_lengths(probabilities, allow_full_reduction)
+    rows = list(zip(map(",".join, contexts), types, probabilities, lengths,
+                    ideal_lengths(probabilities)))
+    if not contexts[0]:
+        table = TypeTable(probabilities, lengths, allow_full_reduction)
+        summary = [("L", mean_length(table))]
+    else:
+        entries = {}
+        for key, p, l in zip(zip(contexts, types), probabilities, lengths):
+            if key in entries:
+                raise InputParseError(f"coding table repeats (context, type) {key!r}")
+            entries[key] = (p, l)
+        table = ContextTable(entries, len(contexts[0]), allow_full_reduction)
+        summary = [("L_n", mean_length(table))]
+        for y in table.targets():
+            summary.append(("L_n_y", y, per_target_length(table, y)))
+            summary.append(("M_n_y", y, renormalized_length(table, y)))
+    verdict = abbreviation_check(table)
+    tau = "undefined" if verdict.tau is None else verdict.tau
+    return rows, summary + [("tau", tau), ("abbreviation_holds", int(verdict.holds))]

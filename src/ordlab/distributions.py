@@ -380,10 +380,13 @@ def generate(source, length, seed=None):
     states = list(source.initial)
     p0 = [source.initial[s] for s in states]
     out = [states[rng.choice(len(states), p=p0)]]
-    rows = {
-        s: (list(row), np.cumsum([row[t] for t in row]).tolist())
-        for s, row in source.transition.items()
-    }
+    rows = {}
+    for s, row in source.transition.items():
+        probs = list(row.values())
+        last = max(i for i, q in enumerate(probs) if q > 0)
+        # partial sums short of the last state with mass: a draw past them all
+        # takes that state, also when the float total ends just below 1
+        rows[s] = (list(row), np.cumsum(probs[:last]).tolist())
     # bisect_right on the float64 cumulative row is searchsorted(side="right")
     for u in rng.random(length - 1).tolist():
         nxt_states, cumulative = rows[out[-1]]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -242,6 +244,18 @@ class TestCoding:
         assert "tau,undefined" in result.output
         assert "abbreviation_holds,1" in result.output
 
+    def test_every_row_is_a_csv_row(self, runner, tmp_path):
+        table = tmp_path / "quoted.csv"
+        table.write_text('type,probability,ctx1\n"a,b",0.5,x\n"a,b",0.25,y\n'
+                         'c,0.25,y\n')
+        result = runner.invoke(main, ["coding", "--input", str(table)])
+        assert result.exit_code == 0
+        rows = list(csv.reader(io.StringIO(result.output)))
+        width = {"L_n": 2, "L_n_y": 3, "M_n_y": 3, "tau": 2, "abbreviation_holds": 2}
+        assert [len(r) for r in rows] == [5] * 4 + [width[r[0]] for r in rows[4:]]
+        assert [r[1] for r in rows[1:4]] == ["a,b", "a,b", "c"]
+        assert [r[1] for r in rows[5:9]] == ["a,b", "a,b", "c", "c"]
+
     def test_bad_csv(self, runner, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("type,probability\na,notanumber\n")
@@ -377,6 +391,7 @@ BAD_INPUTS = {
     "letter_ctx_column": "type,probability,length,ctxA\nx,1.0,1,a\n",
     "short_row": "type,probability,length\na,0.5,1\nb,0.5\n",
     "short_context_row": "type,probability,length,ctx1\nx,0.5,1,a\ny,0.5,1\n",
+    "duplicate_rows": "type,probability,ctx1\nx,0.5,a\nx,0.25,a\ny,0.25,b\n",
 }
 
 ERROR_CASES = [
@@ -461,6 +476,7 @@ ERROR_CASES = [
     (["rate", "cer", "{corpus}", "--tolerance", "nan"], 2, None),
     *((["rate", command, "{corpus}", "--coverage-cap", "nan"], 2, None)
       for command in ("profile", "cer", "hilberg", "peak")),
+    (["coding", "--input", "{duplicate_rows}"], 1, "input_parse_error"),
 ]
 
 

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 from scipy.stats import kendalltau
 
 from ordlab import coding
-from ordlab.errors import AllTied, UnknownTarget, ZeroProbability, ZeroTargetMass
+from ordlab.errors import (
+    AllTied,
+    LengthBelowFloor,
+    UnknownTarget,
+    ZeroProbability,
+    ZeroTargetMass,
+)
 
 
 def random_probs(seed, n):
@@ -165,7 +171,8 @@ class TestAbbreviationCheck:
     def test_vacuous_for_one_type(self, allow_full_reduction):
         lengths = coding.optimal_lengths((1.0,), allow_full_reduction)
         for table in (coding.TypeTable((1.0,), lengths, allow_full_reduction),
-                      coding.ContextTable({(("a",), "only"): (1.0, lengths[0])}, 1)):
+                      coding.ContextTable({(("a",), "only"): (1.0, lengths[0])}, 1,
+                                          allow_full_reduction)):
             verdict = coding.abbreviation_check(table)
             assert verdict.holds
             assert verdict.all_tied
@@ -254,6 +261,31 @@ class TestContextTable:
         verdict = coding.abbreviation_check(CONTEXT)
         assert verdict.holds
         assert verdict.tau < 0
+
+    def test_length_floor(self):
+        with pytest.raises(LengthBelowFloor):
+            coding.ContextTable({(("a",), "x"): (0.5, 0), (("b",), "x"): (0.5, 1)}, 1)
+        coding.ContextTable({(("a",), "x"): (0.5, 0), (("b",), "x"): (0.5, 1)}, 1,
+                            allow_full_reduction=True)
+        with pytest.raises(LengthBelowFloor):
+            coding.ContextTable({(("a",), "x"): (1.0, -1)}, 1,
+                                allow_full_reduction=True)
+
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=12), st.data(),
+           st.sampled_from([(), ("c",), ("c", "d")]), st.booleans())
+    def test_one_shared_context_reduces_to_the_type_table(
+        self, weights, data, context, allow_full_reduction
+    ):
+        probs = [w / math.fsum(weights) for w in weights]
+        lengths = data.draw(st.lists(st.integers(int(not allow_full_reduction), 6),
+                                     min_size=len(probs), max_size=len(probs)))
+        plain = coding.TypeTable(probs, lengths, allow_full_reduction)
+        shared = coding.ContextTable(
+            {(context, f"t{i}"): (p, l) for i, (p, l) in enumerate(zip(probs, lengths))},
+            len(context), allow_full_reduction,
+        )
+        assert coding.mean_length(shared) == coding.mean_length(plain)
+        assert coding.abbreviation_check(shared) == coding.abbreviation_check(plain)
 
 
 class TestIdealLengths:

@@ -217,6 +217,24 @@ class TestGenerate:
         src = d.SequenceSource(kind="homogeneous", symbol="a")
         assert d.generate(src, 0) == []
 
+    def test_draw_past_a_row_total_below_one(self, monkeypatch):
+        # the float cumulative row of (0.6, 0.3, 0.1, 0) ends at 0.9999999999999999
+        class Stub:
+            def choice(self, n, p):
+                return 0
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(d, "substream", lambda *labels: Stub())
+        src = d.SequenceSource(
+            kind="markov",
+            initial={"a": 1.0},
+            transition={"a": {"a": 0.6, "b": 0.3, "c": 0.1, "z": 0.0},
+                        "b": {"a": 1.0}, "c": {"c": 1.0}},
+        )
+        assert d.generate(src, 3) == ["a", "c", "c"]
+
 
 class TestScramble:
     def test_identical_tokens(self):
