@@ -8,6 +8,8 @@ invocations produce byte-identical output.  Domain errors exit with status
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -20,12 +22,19 @@ from .errors import InputParseError, OrdlabError
 from .infotheory import CostTransducer, IDENTITY
 
 
-def _emit(text, output):
-    if output is None:
-        click.echo(text, nl=False)
-    else:
+def _output_option(command):
+    """Declares ``-o/--output``: the command's text goes to that file if given."""
+
+    @click.option("-o", "--output", type=click.Path(), default=None)
+    @functools.wraps(command)
+    def write(output, **params):
+        text = command(**params)
+        if output is None:
+            return text
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+    return write
 
 
 def _csv_text(header, rows):
@@ -72,10 +81,10 @@ def _word_order(name):
         ) from None
 
 
-def ingest_corpus(path, tokenization="whitespace"):
-    """Read a UTF-8 text file into a deterministic token list."""
+def ingest_corpus(path, chars=False):
+    """Read a UTF-8 text file into whitespace tokens, or characters with ``chars``."""
     text = _read_text(path)
-    if tokenization == "character":
+    if chars:
         return [c for c in text if not c.isspace()]
     return text.split()
 
@@ -92,15 +101,20 @@ def _model_and_context(model_path, target, order):
 
 
 class _DomainErrorGroup(click.Group):
-    """Turns an OrdlabError from any command into exit 1 with a JSON record."""
+    """Prints the text a command returns, the one writer of stdout.
+
+    An OrdlabError from any command becomes exit 1 with a JSON record.
+    """
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            text = super().invoke(ctx)
         except OrdlabError as exc:
             record = {"error": exc.code, "message": str(exc)}
             click.echo(json.dumps(record), err=True)
             sys.exit(1)
+        if text is not None:
+            click.echo(text, nl=False)
 
 
 @click.group(cls=_DomainErrorGroup)
@@ -118,8 +132,8 @@ def main():
 @click.option("--order", default=None, help="Comma-separated context role order.")
 @click.option("--objective", type=click.Choice(["uncertainty", "predictability"]),
               default="uncertainty", show_default=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
-def placement(model_path, target, order, objective, output):
+@_output_option
+def placement(model_path, target, order, objective):
     """Per-context-size entropies and the optimal placement set."""
     model, resolved, context = _model_and_context(model_path, target, order)
     h = infotheory.uncertainty_profile(model, context, resolved)
@@ -129,9 +143,8 @@ def placement(model_path, target, order, objective, output):
         (i, repr(h[i]), repr(i_prof[i]), int(i in optimal))
         for i in range(len(context) + 1)
     ]
-    text = _csv_text(("i", "H_bits", "I_bits", "in_optimal_set"), rows)
-    text += f"optimal_set,{';'.join(str(i) for i in sorted(optimal))}\n"
-    _emit(text, output)
+    rows.append(("optimal_set", ";".join(str(i) for i in sorted(optimal))))
+    return _csv_text(("i", "H_bits", "I_bits", "in_optimal_set"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +155,16 @@ def placement(model_path, target, order, objective, output):
 @click.option("--m", "m", required=True, type=int)
 @click.option("--g", "g_spec", default="identity", show_default=True,
               help="Edge cost: identity|square|exp:<base>")
-@click.option("-o", "--output", type=click.Path(), default=None)
-def deplen_cmd(m, g_spec, output):
+@_output_option
+def deplen_cmd(m, g_spec):
     """Dependency cost per head position with min/max summary."""
     transducer = _parse_transducer(g_spec)
     land = deplen.landscape(m, transducer)
     rows = [(p, repr(c)) for p, c in zip(range(1, m + 1), land.costs)]
-    text = _csv_text(("head_pos", "cost"), rows)
-    text += (
-        f"min,{repr(min(land.costs))},"
-        f"{';'.join(str(p) for p in sorted(land.min_positions()))}\n"
-    )
-    text += (
-        f"max,{repr(max(land.costs))},"
-        f"{';'.join(str(p) for p in sorted(land.max_positions()))}\n"
-    )
-    _emit(text, output)
+    for name, cost, positions in (("min", min(land.costs), land.min_positions()),
+                                  ("max", max(land.costs), land.max_positions())):
+        rows.append((name, repr(cost), ";".join(str(p) for p in sorted(positions))))
+    return _csv_text(("head_pos", "cost"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +187,8 @@ def _parse_lambdas(spec):
 @click.option("--target", default=None)
 @click.option("--order", default=None, help="Comma-separated dependent order.")
 @click.option("--lambdas", default="0,0.25,0.5,0.75,1", show_default=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
-def conflict_cmd(model_path, target, order, lambdas, output):
+@_output_option
+def conflict_cmd(model_path, target, order, lambdas):
     """Dependency cost vs head uncertainty per position, with Pareto front."""
     model, resolved, context = _model_and_context(model_path, target, order)
     report = conflict.conflict_report(model, context, resolved)
@@ -198,7 +205,7 @@ def conflict_cmd(model_path, target, order, lambdas, output):
             (p, repr(dep), repr(unc), int(p in front))
             + tuple(int(p in optima[lam]) for lam in grid)
         )
-    _emit(_csv_text(header, rows), output)
+    return _csv_text(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +221,14 @@ def ring_group():
 @click.argument("a")
 @click.argument("b")
 def ring_distance_cmd(a, b):
-    click.echo(str(ring.ring_distance(_word_order(a), _word_order(b))))
+    return f"{ring.ring_distance(_word_order(a), _word_order(b))}\n"
 
 
 @ring_group.command("neighbors")
 @click.argument("order")
 def ring_neighbors_cmd(order):
     nbrs = ring.neighbors(_word_order(order))
-    click.echo(",".join(str(o) for o in ring.ORDERS if o in nbrs))
+    return ",".join(str(o) for o in ring.ORDERS if o in nbrs) + "\n"
 
 
 @ring_group.command("predict")
@@ -233,7 +240,7 @@ def ring_predict_cmd(source, use_ring, filter_name):
     if not use_ring and filter_name is None:
         raise click.UsageError("give --ring, --filter or both")
     dests = ring.predicted_destinations(_word_order(source), use_ring, filter_name)
-    click.echo(",".join(str(o) for o in dests))
+    return ",".join(str(o) for o in dests) + "\n"
 
 
 def _kernel_from_config(cfg):
@@ -276,8 +283,8 @@ def _config_int(cfg, name, default, minimum=None):
 
 @ring_group.command("simulate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("-o", "--output", type=click.Path(), default=None)
-def ring_simulate_cmd(config_path, output):
+@_output_option
+def ring_simulate_cmd(config_path):
     """Evolve an ensemble per the JSON config; emit per-step distributions."""
     try:
         cfg = json.loads(_read_text(config_path))
@@ -298,7 +305,7 @@ def ring_simulate_cmd(config_path, output):
         (step, *(repr(float(f)) for f in freq))
         for step, freq in enumerate(trajectory.frequencies)
     ]
-    _emit(_csv_text(header, rows), output)
+    return _csv_text(header, rows)
 
 
 @ring_group.command("compare")
@@ -314,9 +321,8 @@ def ring_compare_cmd(dist):
         raise InputParseError(f"bad distribution spec: {exc}") from None
     distributions.check_mass(parsed.values(), "distribution")
     tv, agreements = ring.compare_to_reference(parsed)
-    click.echo(f"total_variation,{repr(tv)}")
-    for (a, b), ok in agreements:
-        click.echo(f"rank_agreement,{a},{b},{int(ok)}")
+    rows = [("rank_agreement", a, b, int(ok)) for (a, b), ok in agreements]
+    return _csv_text(("total_variation", repr(tv)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +335,7 @@ def rate_group():
 
 
 def _profile_from_file(path, chars, max_order, cyclic, coverage_cap):
-    tokens = ingest_corpus(path, "character" if chars else "whitespace")
+    tokens = ingest_corpus(path, chars)
     table = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
     cap = None if coverage_cap <= 0 else coverage_cap
     return rate.conditional_entropy_profile(table, coverage_cap=cap)
@@ -362,11 +368,11 @@ def _with_rate_input(fn):
 
 @rate_group.command("profile")
 @_with_rate_input
-@click.option("-o", "--output", type=click.Path(), default=None)
-def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap, output):
+@_output_option
+def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     rows = [(i + 1, repr(v)) for i, v in enumerate(profile.values)]
-    _emit(_csv_text(("i", "H_bits"), rows), output)
+    return _csv_text(("i", "H_bits"), rows)
 
 
 @rate_group.command("cer")
@@ -376,13 +382,7 @@ def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap, output):
 def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     verdict = rate.cer_diagnostic(profile, tolerance)
-    record = {
-        "flat": verdict.flat,
-        "spread": verdict.spread,
-        "max_drop": verdict.max_drop,
-        "max_drop_position": verdict.max_drop_position,
-    }
-    click.echo(json.dumps(record))
+    return json.dumps(dataclasses.asdict(verdict)) + "\n"
 
 
 @rate_group.command("uid")
@@ -392,13 +392,12 @@ def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
 def rate_uid_cmd(model_path, text_path):
     model = distributions.model_from_json(_read_text(model_path))
     result = rate.uid_classify(model)
-    record = {"verdict": result.verdict, "worst_spread": result.worst_spread}
-    if result.offending_sequence is not None:
-        record["offending_sequence"] = list(result.offending_sequence)
+    record = dataclasses.asdict(result)
+    if result.offending_sequence is None:
+        del record["offending_sequence"]
     if text_path is not None:
-        tokens = ingest_corpus(text_path)
-        record["sequence_spread"] = rate.uid_spread(tokens, model)
-    click.echo(json.dumps(record))
+        record["sequence_spread"] = rate.uid_spread(ingest_corpus(text_path), model)
+    return json.dumps(record) + "\n"
 
 
 @rate_group.command("hilberg")
@@ -408,14 +407,7 @@ def rate_uid_cmd(model_path, text_path):
 def rate_hilberg_cmd(corpus, chars, max_order, cyclic, coverage_cap, variant):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     fit = rate.hilberg_fit(profile, variant)
-    record = {
-        "a": fit.a,
-        "gamma": fit.gamma,
-        "b": fit.b,
-        "variant": fit.variant,
-        "rms_residual": fit.rms_residual,
-    }
-    click.echo(json.dumps(record))
+    return json.dumps(dataclasses.asdict(fit)) + "\n"
 
 
 @rate_group.command("peak")
@@ -423,7 +415,7 @@ def rate_hilberg_cmd(corpus, chars, max_order, cyclic, coverage_cap, variant):
 def rate_peak_cmd(corpus, chars, max_order, cyclic, coverage_cap):
     profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
     value, index = rate.peak_cost(profile)
-    click.echo(json.dumps({"peak_bits": value, "argmax_index": index}))
+    return json.dumps({"peak_bits": value, "argmax_index": index}) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +426,8 @@ def rate_peak_cmd(corpus, chars, max_order, cyclic, coverage_cap):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True),
               help="CSV with columns type,probability[,length][,ctx1..ctxN].")
 @click.option("--allow-full-reduction", is_flag=True)
-@click.option("-o", "--output", type=click.Path(), default=None)
-def coding_cmd(input_path, allow_full_reduction, output):
+@_output_option
+def coding_cmd(input_path, allow_full_reduction):
     """Assign optimal lengths and report L, L_n(y), M_n(y), tau, verdict."""
     reader = csv.DictReader(io.StringIO(_read_text(input_path), newline=""))
     if reader.fieldnames is None:
@@ -463,7 +455,7 @@ def coding_cmd(input_path, allow_full_reduction, output):
         raise InputParseError(f"bad coding table: {exc}") from None
     data, summary = coding.report(types, probs, contexts, given, allow_full_reduction)
     header = ("context", "type", "probability", "length", "ideal_length")
-    _emit(_csv_text(header, data + summary), output)
+    return _csv_text(header, data + summary)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +497,9 @@ def _parse_transition(spec):
               help="empirical token source")
 @click.option("--length", required=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
-            length, seed, output):
+            length, seed):
     """Emit a whitespace-joined token sequence from a seeded source."""
     kwargs = {"kind": kind, "seed": seed}
     if kind == "iid":
@@ -533,18 +525,17 @@ def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
         kwargs["tokens"] = tuple(ingest_corpus(tokens_file))
     source = distributions.SequenceSource(**kwargs)
     tokens = distributions.generate(source, length, seed)
-    _emit(" ".join(tokens) + "\n", output)
+    return " ".join(tokens) + "\n"
 
 
 @main.command("scramble")
 @click.argument("corpus", type=click.Path(exists=True))
 @click.option("--chars", is_flag=True)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("-o", "--output", type=click.Path(), default=None)
-def scramble_cmd(corpus, chars, seed, output):
+@_output_option
+def scramble_cmd(corpus, chars, seed):
     """Uniformly permute the tokens of a corpus."""
-    tokens = ingest_corpus(corpus, "character" if chars else "whitespace")
-    _emit(" ".join(distributions.scramble(tokens, seed)) + "\n", output)
+    return " ".join(distributions.scramble(ingest_corpus(corpus, chars), seed)) + "\n"
 
 
 if __name__ == "__main__":

@@ -439,6 +439,12 @@ def model_from_json(text):
                                   "for a float") from None
     roles = _distinct(roles)
     codes = _encode(roles, alphabets, list(table))
+    if len(table) < len(doc["entries"]):  # a repeated tuple, even at p = 0
+        seen = set()
+        for key in (tuple(e["tuple"]) for e in doc["entries"]):
+            if key in seen:
+                raise InputParseError(f"bad model document: the tuple {key!r} repeats")
+            seen.add(key)
     return _model(roles, alphabets, codes, list(table.values()), doc.get("target"))
 
 

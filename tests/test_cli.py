@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -6,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import ordlab
-from ordlab import distributions as d
+from ordlab import distributions as d, rate
 from ordlab.cli import main
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 @pytest.fixture
@@ -297,6 +301,107 @@ class TestGenAndScramble:
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+# every command that takes -o, with arguments naming files in GOLDEN_INPUTS
+OUTPUT_COMMANDS = {
+    "placement": ["--model", "model.json"],
+    "deplen": ["--m", "5", "--g", "exp:2"],
+    "conflict": ["--model", "model.json", "--lambdas", "0,0.5,1"],
+    "ring simulate": ["--config", "kernel.json"],
+    "rate profile": ["corpus.txt", "--max-order", "4"],
+    "coding": ["--input", "quoted_type.csv"],
+    "gen": ["--kind", "iid", "--marginal", "a:0.5,b:0.5", "--length", "50",
+            "--seed", "3"],
+    "scramble": ["chars.txt", "--chars", "--seed", "3"],
+}
+
+
+def _leaf_commands(group, prefix=""):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", command
+
+
+def test_output_commands_are_every_command_with_an_output_option():
+    taking = {name for name, command in _leaf_commands(main)
+              if any(p.name == "output" for p in command.params)}
+    assert taking == set(OUTPUT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_file_holds_the_bytes_stdout_gets(runner, tmp_path, monkeypatch,
+                                                  command):
+    monkeypatch.chdir(GOLDEN_INPUTS)
+    argv = command.split() + OUTPUT_COMMANDS[command]
+    out = tmp_path / "out"
+    printed = runner.invoke(main, argv)
+    written = runner.invoke(main, argv + ["-o", str(out)])
+    assert printed.exit_code == written.exit_code == 0
+    assert printed.stdout_bytes
+    assert out.read_bytes() == printed.stdout_bytes
+    assert written.stdout_bytes == b""
+
+
+class TestRecordsAreResults:
+    """A JSON record lists its result object's fields in order, same values."""
+
+    @staticmethod
+    def fields(result):
+        return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+    @staticmethod
+    def profile():
+        tokens = (GOLDEN_INPUTS / "corpus.txt").read_text().split()
+        table = rate.ngram_counts(tokens, 5)
+        return rate.conditional_entropy_profile(table, coverage_cap=0.2)
+
+    def record(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0
+        return json.loads(result.stdout)
+
+    def test_cer(self, runner):
+        argv = ["rate", "cer", str(GOLDEN_INPUTS / "corpus.txt"), "--max-order", "5",
+                "--tolerance", "0.1"]
+        expected = self.fields(rate.cer_diagnostic(self.profile(), 0.1))
+        record = self.record(runner, argv)
+        assert list(record) == list(expected)
+        assert record == expected
+
+    @pytest.mark.parametrize("variant", ["pure", "relaxed"])
+    def test_hilberg(self, runner, variant):
+        argv = ["rate", "hilberg", str(GOLDEN_INPUTS / "corpus.txt"), "--max-order",
+                "5", "--variant", variant]
+        expected = self.fields(rate.hilberg_fit(self.profile(), variant))
+        record = self.record(runner, argv)
+        assert list(record) == list(expected)
+        assert record == expected
+
+    @pytest.mark.parametrize("with_text", [False, True])
+    @pytest.mark.parametrize("model_file", ["model.json", "iid_uniform.json"])
+    def test_uid(self, runner, tmp_path, model_file, with_text):
+        path = GOLDEN_INPUTS / model_file
+        model = d.model_from_json(path.read_text())
+        result = rate.uid_classify(model)
+        expected = self.fields(result)
+        # the one exception to the field list: a null offending_sequence is left out
+        if result.offending_sequence is None:
+            del expected["offending_sequence"]
+        else:
+            expected["offending_sequence"] = list(result.offending_sequence)
+        argv = ["rate", "uid", "--model", str(path)]
+        if with_text:
+            tokens = ["b"] + ["a"] * (len(model.roles) - 1)
+            text = tmp_path / "text.txt"
+            text.write_text(" ".join(tokens) + "\n")
+            argv += ["--text", str(text)]
+            expected["sequence_spread"] = rate.uid_spread(tokens, model)
+        record = self.record(runner, argv)
+        assert list(record) == list(expected)
+        assert record == expected
+
+
 # input files for the error-contract table, referenced as {name} in argv;
 # a str is written as UTF-8, bytes as they are
 BAD_INPUTS = {
@@ -392,6 +497,18 @@ BAD_INPUTS = {
     "short_row": "type,probability,length\na,0.5,1\nb,0.5\n",
     "short_context_row": "type,probability,length,ctx1\nx,0.5,1,a\ny,0.5,1\n",
     "duplicate_rows": "type,probability,ctx1\nx,0.5,a\nx,0.25,a\ny,0.25,b\n",
+    "repeated_tuple": json.dumps({
+        "roles": ["y"],
+        "alphabets": {"y": ["a", "b"]},
+        "entries": [{"tuple": ["a"], "p": 0.5}, {"tuple": ["b"], "p": 0.5},
+                    {"tuple": ["a"], "p": 0.5}],
+    }),
+    "repeated_tuple_light": json.dumps({
+        "roles": ["y", "x"],
+        "alphabets": {"y": ["a", "b"], "x": ["a", "b"]},
+        "entries": [{"tuple": ["a", "a"], "p": 0.25}, {"tuple": ["b", "b"], "p": 0.5},
+                    {"tuple": ["a", "a"], "p": 0.25}],
+    }),
 }
 
 ERROR_CASES = [
@@ -477,6 +594,8 @@ ERROR_CASES = [
     *((["rate", command, "{corpus}", "--coverage-cap", "nan"], 2, None)
       for command in ("profile", "cer", "hilberg", "peak")),
     (["coding", "--input", "{duplicate_rows}"], 1, "input_parse_error"),
+    (["rate", "uid", "--model", "{repeated_tuple}"], 1, "input_parse_error"),
+    (["placement", "--model", "{repeated_tuple_light}"], 1, "input_parse_error"),
 ]
 
 

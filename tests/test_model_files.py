@@ -1,7 +1,8 @@
 """Model files against the per-entry loops that validated and sorted them.
 
 ``reference_validate`` is the per-entry arity and alphabet-membership loop
-that model validation ran before the table was coded in one pass, and
+that model validation ran before the table was coded in one pass, then a
+scan for a tuple listed twice, and
 ``reference_model_to_json`` the per-cell alphabet-index sort the writer
 used.  Every document must raise the same error class and message, and
 every valid one must be written back with the same text.
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordlab import distributions as d
-from ordlab.errors import ArityMismatch, OrdlabError, UnknownRole
+from ordlab.errors import ArityMismatch, InputParseError, OrdlabError, UnknownRole
 
 POOL = ("a", "b", "c", "d")
-FAULTS = ("unknown", "unknown_zero", "arity", "negative", "mass")
+FAULTS = ("unknown", "unknown_zero", "arity", "negative", "mass", "repeat")
 
 
-def reference_validate(roles, alphabets, table):
+def reference_validate(roles, alphabets, table, entries):
     for key in table:
         if len(key) != len(roles):
             raise ArityMismatch(
@@ -29,6 +30,10 @@ def reference_validate(roles, alphabets, table):
         for role, symbol in zip(roles, key):
             if symbol not in alphabets[role]:
                 raise UnknownRole(f"symbol {symbol!r} not in alphabet of role {role!r}")
+    keys = [tuple(e["tuple"]) for e in entries]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise InputParseError(f"bad model document: the tuple {key!r} repeats")
     d.check_mass(table.values(), "total")
 
 
@@ -81,6 +86,10 @@ def model_documents(draw):
             entries[i]["p"] = -0.5
         elif fault == "mass":
             entries[i]["p"] += 0.5
+        elif fault == "repeat":
+            p = draw(st.sampled_from([0.0, entries[i]["p"]]))
+            copy = {"tuple": list(entries[i]["tuple"]), "p": p}
+            entries.insert(draw(st.integers(0, len(entries))), copy)
         elif n:
             j = draw(st.integers(0, n - 1))
             outside = [s for s in POOL + ("z",) if s not in alphabets[roles[j]]]
@@ -104,7 +113,7 @@ def test_model_files_match_the_per_entry_loop(doc, data):
     alphabets = {r: tuple(doc["alphabets"][r]) for r in roles}
     table = {tuple(e["tuple"]): e["p"] for e in doc["entries"]}
     try:
-        reference_validate(roles, alphabets, table)
+        reference_validate(roles, alphabets, table, doc["entries"])
     except OrdlabError as exc:
         with pytest.raises(OrdlabError) as caught:
             d.model_from_json(text)
