@@ -31,8 +31,12 @@ def _output_option(command):
         text = command(**params)
         if output is None:
             return text
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.BadParameter(f"{output}: {exc.strerror}",
+                                     param_hint="'-o' / '--output'") from None
 
     return write
 
@@ -68,6 +72,27 @@ def _read_text(path):
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputParseError(f"{path}: not valid UTF-8 ({exc})") from None
+    except OSError as exc:
+        raise InputParseError(f"{path}: {exc.strerror}") from None
+
+
+def _read_pairs(spec, sep, what, key):
+    """{key(name): value} of a comma-separated ``name<sep>value`` spec.
+
+    Two names with the same key are an error, as is any ValueError that
+    ``key`` raises.
+    """
+    pairs = {}
+    try:
+        for part in spec.split(","):
+            name, value = part.split(sep)
+            k, v = key(name), float(value)
+            if k in pairs:
+                raise ValueError(f"{str(k)!r} repeats")
+            pairs[k] = v
+    except ValueError as exc:
+        raise InputParseError(f"bad {what} spec {spec!r}: {exc}") from None
+    return pairs
 
 
 def _word_order(name):
@@ -312,13 +337,7 @@ def ring_simulate_cmd(config_path):
 @click.option("--dist", required=True,
               help="Distribution, e.g. SOV=0.4,SVO=0.4,VSO=0.1,...")
 def ring_compare_cmd(dist):
-    try:
-        parsed = {}
-        for part in dist.split(","):
-            name, value = part.split("=")
-            parsed[_word_order(name.strip())] = float(value)
-    except ValueError as exc:
-        raise InputParseError(f"bad distribution spec: {exc}") from None
+    parsed = _read_pairs(dist, "=", "distribution", lambda s: _word_order(s.strip()))
     distributions.check_mass(parsed.values(), "distribution")
     tv, agreements = ring.compare_to_reference(parsed)
     rows = [("rank_agreement", a, b, int(ok)) for (a, b), ok in agreements]
@@ -334,53 +353,48 @@ def rate_group():
     """Entropy-rate estimation and diagnostics on token sequences."""
 
 
-def _profile_from_file(path, chars, max_order, cyclic, coverage_cap):
-    tokens = ingest_corpus(path, chars)
-    table = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
-    cap = None if coverage_cap <= 0 else coverage_cap
-    return rate.conditional_entropy_profile(table, coverage_cap=cap)
-
-
 def _not_nan(ctx, param, value):
     if math.isnan(value):
         raise click.BadParameter("must be a number, not nan")
     return value
 
 
-_rate_input_options = [
-    click.argument("corpus", type=click.Path(exists=True)),
-    click.option("--chars", is_flag=True, help="Character-level tokenization."),
-    click.option("--max-order", default=4, show_default=True,
-                 type=click.IntRange(min=1)),
-    click.option("--cyclic", is_flag=True, help="Wrap-around windows."),
-    click.option("--coverage-cap", default=0.2, show_default=True, type=float,
-                 callback=_not_nan,
-                 help="Truncate once distinct blocks exceed this share of windows;"
-                      " 0 disables."),
-]
+def _corpus_profile(command):
+    """Declares the corpus argument and its options; passes its ``profile``."""
 
+    @click.argument("corpus", type=click.Path(exists=True))
+    @click.option("--chars", is_flag=True, help="Character-level tokenization.")
+    @click.option("--max-order", default=4, show_default=True,
+                  type=click.IntRange(min=1))
+    @click.option("--cyclic", is_flag=True, help="Wrap-around windows.")
+    @click.option("--coverage-cap", default=0.2, show_default=True, type=float,
+                  callback=_not_nan,
+                  help="Truncate once distinct blocks exceed this share of windows;"
+                       " 0 disables.")
+    @functools.wraps(command)
+    def read(corpus, chars, max_order, cyclic, coverage_cap, **params):
+        tokens = ingest_corpus(corpus, chars)
+        table = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
+        cap = None if coverage_cap <= 0 else coverage_cap
+        profile = rate.conditional_entropy_profile(table, coverage_cap=cap)
+        return command(profile=profile, **params)
 
-def _with_rate_input(fn):
-    for option in reversed(_rate_input_options):
-        fn = option(fn)
-    return fn
+    return read
 
 
 @rate_group.command("profile")
-@_with_rate_input
+@_corpus_profile
 @_output_option
-def rate_profile_cmd(corpus, chars, max_order, cyclic, coverage_cap):
-    profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
+def rate_profile_cmd(profile):
     rows = [(i + 1, repr(v)) for i, v in enumerate(profile.values)]
     return _csv_text(("i", "H_bits"), rows)
 
 
 @rate_group.command("cer")
-@_with_rate_input
+@_corpus_profile
 @click.option("--tolerance", default=0.05, show_default=True, type=float,
               callback=_not_nan)
-def rate_cer_cmd(corpus, chars, max_order, cyclic, coverage_cap, tolerance):
-    profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
+def rate_cer_cmd(profile, tolerance):
     verdict = rate.cer_diagnostic(profile, tolerance)
     return json.dumps(dataclasses.asdict(verdict)) + "\n"
 
@@ -401,19 +415,17 @@ def rate_uid_cmd(model_path, text_path):
 
 
 @rate_group.command("hilberg")
-@_with_rate_input
+@_corpus_profile
 @click.option("--variant", type=click.Choice(["pure", "relaxed"]),
               default="relaxed", show_default=True)
-def rate_hilberg_cmd(corpus, chars, max_order, cyclic, coverage_cap, variant):
-    profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
+def rate_hilberg_cmd(profile, variant):
     fit = rate.hilberg_fit(profile, variant)
     return json.dumps(dataclasses.asdict(fit)) + "\n"
 
 
 @rate_group.command("peak")
-@_with_rate_input
-def rate_peak_cmd(corpus, chars, max_order, cyclic, coverage_cap):
-    profile = _profile_from_file(corpus, chars, max_order, cyclic, coverage_cap)
+@_corpus_profile
+def rate_peak_cmd(profile):
     value, index = rate.peak_cost(profile)
     return json.dumps({"peak_bits": value, "argmax_index": index}) + "\n"
 
@@ -462,26 +474,18 @@ def coding_cmd(input_path, allow_full_reduction):
 # sequence generation
 
 
-def _parse_dist(spec):
-    try:
-        return {
-            k.strip(): float(v)
-            for k, v in (part.split(":") for part in spec.split(","))
-        }
-    except ValueError as exc:
-        raise InputParseError(f"bad distribution spec {spec!r}: {exc}") from None
+def _arrow(name):
+    src, dst = name.split(">")
+    return f"{src.strip()}>{dst.strip()}"
 
 
 def _parse_transition(spec):
     # "a>a:0.9,a>b:0.1;b>b:0.8,b>a:0.2" or flat comma form
     table: dict[str, dict[str, float]] = {}
-    try:
-        for part in spec.replace(";", ",").split(","):
-            arrow, value = part.split(":")
-            src, dst = arrow.split(">")
-            table.setdefault(src.strip(), {})[dst.strip()] = float(value)
-    except ValueError as exc:
-        raise InputParseError(f"bad transition spec {spec!r}: {exc}") from None
+    for arrow, p in _read_pairs(spec.replace(";", ","), ":", "transition",
+                                _arrow).items():
+        src, dst = arrow.split(">")
+        table.setdefault(src, {})[dst] = p
     return table
 
 
@@ -505,11 +509,11 @@ def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
     if kind == "iid":
         if marginal is None:
             raise InputParseError("iid source needs --marginal")
-        kwargs["marginal"] = _parse_dist(marginal)
+        kwargs["marginal"] = _read_pairs(marginal, ":", "distribution", str.strip)
     elif kind == "markov":
         if initial is None or transition is None:
             raise InputParseError("markov source needs --initial and --transition")
-        kwargs["initial"] = _parse_dist(initial)
+        kwargs["initial"] = _read_pairs(initial, ":", "distribution", str.strip)
         kwargs["transition"] = _parse_transition(transition)
     elif kind == "periodic":
         if block is None:

@@ -72,10 +72,6 @@ class DegenerateProfile(OrdlabError):
     code = "degenerate_profile"
 
 
-class UnsupportedModelSize(OrdlabError):
-    code = "unsupported_model_size"
-
-
 class LengthBelowFloor(OrdlabError, ValueError):
     code = "length_below_floor"
 

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateProfile,
     EmptySequence,
     InsufficientData,
-    UnsupportedModelSize,
 )
 from .infotheory import EntropyProfile, entropy
 
@@ -236,7 +235,7 @@ class UidClassification:
     offending_sequence: tuple | None
 
 
-def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
+def uid_classify(model, tolerance=1e-9):
     """Classify a joint model as full_uid / strong_uid / neither.
 
     strong: every supported sequence has constant conditional probabilities
@@ -245,11 +244,6 @@ def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
     """
     if not model.roles:
         raise ArityMismatch("a model without roles has no conditional probabilities")
-    cardinality = math.prod(len(model.alphabets[r]) for r in model.roles)
-    if cardinality > enumeration_cap:
-        raise UnsupportedModelSize(
-            f"support enumeration over {cardinality} tuples exceeds the cap"
-        )
     # conditionals P(x_i | x_<i) = P(x_<=i) / P(x_<i) of every table row
     highest = lowest = prev = None
     for i in range(1, len(model.roles) + 1):
@@ -274,6 +268,7 @@ def uid_classify(model, tolerance=1e-9, enumeration_cap=200_000):
                              for r, c in zip(model.roles, model._codes[row].tolist()))
     if worst > tolerance:
         return UidClassification("neither", worst, offender)
+    cardinality = math.prod(len(model.alphabets[r]) for r in model.roles)
     full_support = len(group.mass) == cardinality
     return UidClassification("full_uid" if full_support else "strong_uid", worst, None)
 

@@ -35,7 +35,9 @@ class WordOrder(enum.Enum):
         return self.value
 
 
-# canonical listing (most to least frequent in the reference dataset)
+# canonical listing (most to least frequent in the reference dataset), which
+# is also the ring: consecutive entries differ by one adjacent swap, and the
+# list wraps around
 ORDERS = (
     WordOrder.SOV,
     WordOrder.SVO,
@@ -44,19 +46,6 @@ ORDERS = (
     WordOrder.OVS,
     WordOrder.OSV,
 )
-
-# the ring: consecutive entries differ by one adjacent swap, and the list
-# wraps around
-RING_CYCLE = (
-    WordOrder.SOV,
-    WordOrder.SVO,
-    WordOrder.VSO,
-    WordOrder.VOS,
-    WordOrder.OVS,
-    WordOrder.OSV,
-)
-
-_RING_INDEX = {order: i for i, order in enumerate(RING_CYCLE)}
 
 
 def as_order(value):
@@ -67,15 +56,15 @@ def as_order(value):
 
 def ring_distance(a, b):
     """Minimum number of adjacent swaps turning one order into the other (0..3)."""
-    i, j = _RING_INDEX[as_order(a)], _RING_INDEX[as_order(b)]
+    i, j = ORDERS.index(as_order(a)), ORDERS.index(as_order(b))
     d = abs(i - j)
     return min(d, 6 - d)
 
 
 def neighbors(order):
     """The two ring-adjacent orders."""
-    i = _RING_INDEX[as_order(order)]
-    return frozenset({RING_CYCLE[(i - 1) % 6], RING_CYCLE[(i + 1) % 6]})
+    i = ORDERS.index(as_order(order))
+    return frozenset({ORDERS[i - 1], ORDERS[(i + 1) % 6]})
 
 
 def triple_optimal_orders(target):

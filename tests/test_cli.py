@@ -596,12 +596,33 @@ ERROR_CASES = [
     (["coding", "--input", "{duplicate_rows}"], 1, "input_parse_error"),
     (["rate", "uid", "--model", "{repeated_tuple}"], 1, "input_parse_error"),
     (["placement", "--model", "{repeated_tuple_light}"], 1, "input_parse_error"),
+    *(([*argv, "{dir}"], 1, "input_parse_error") for argv in (
+        ["placement", "--model"], ["conflict", "--model"], ["rate", "uid", "--model"],
+        ["rate", "uid", "--model", "{target_model}", "--text"],
+        ["ring", "simulate", "--config"], ["coding", "--input"],
+        ["gen", "--kind", "empirical", "--length", "3", "--tokens-file"],
+        ["rate", "profile"], ["rate", "cer"], ["rate", "hilberg"], ["rate", "peak"],
+        ["scramble"],
+    )),
+    (["deplen", "--m", "3", "-o", "{dir}"], 2, None),
+    (["deplen", "--m", "3", "-o", "{dir}/missing/x.csv"], 2, None),
+    (["gen", "--kind", "iid", "--marginal", "a:0.5,a:0.5,b:0.5", "--length", "3"], 1,
+     "input_parse_error"),
+    (["gen", "--kind", "markov", "--initial", "a:1,a:1", "--transition", "a>a:1",
+      "--length", "3"], 1, "input_parse_error"),
+    (["gen", "--kind", "markov", "--initial", "a:1", "--transition", "a>a:1,a>a:1",
+      "--length", "3"], 1, "input_parse_error"),
+    (["gen", "--kind", "markov", "--initial", "a:1", "--transition",
+      "a>b:1;b>a:1;b>a:1", "--length", "3"], 1, "input_parse_error"),
+    (["ring", "compare", "--dist",
+      "SOV=0.3,SVO=0.3,VSO=0.1,VOS=0.1,OVS=0.1,OSV=0.1,sov=0.3"], 1,
+     "input_parse_error"),
 ]
 
 
 @pytest.mark.parametrize("argv, status, code", ERROR_CASES)
 def test_error_contract(runner, tmp_path, argv, status, code):
-    paths = {}
+    paths = {"dir": str(tmp_path)}
     for name, data in BAD_INPUTS.items():
         paths[name] = str(tmp_path / name)
         if isinstance(data, str):

@@ -11,7 +11,6 @@ from ordlab.errors import (
     DegenerateProfile,
     EmptySequence,
     InsufficientData,
-    UnsupportedModelSize,
 )
 from ordlab.infotheory import EntropyProfile
 
@@ -310,10 +309,19 @@ class TestUid:
         assert result.worst_spread == pytest.approx(0.4, abs=1e-12)
         assert result.offending_sequence is not None
 
-    def test_enumeration_cap(self):
-        m = d.make_iid({"a": 0.5, "b": 0.5}, 3)
-        with pytest.raises(UnsupportedModelSize):
-            rate.uid_classify(m, enumeration_cap=4)
+    def test_sparse_model_over_a_large_product_classifies(self):
+        # 6 rows over 6**8 = 1,679,616 cells: the classifier reads the rows
+        # and never enumerates the Cartesian product
+        roles = tuple(f"x{i}" for i in range(8))
+        alphabet = d.Alphabet(tuple("abcdef"))
+        alphabets = {r: alphabet for r in roles}
+        diagonal = d.make_joint(roles, {(s,) * 8: 1 / 6 for s in "abcdef"}, alphabets)
+        result = rate.uid_classify(diagonal)
+        assert result.verdict == "neither"
+        assert result.worst_spread == pytest.approx(5 / 6, abs=1e-12)
+        assert result.offending_sequence == ("a",) * 8
+        single = d.make_joint(roles, {("a",) * 8: 1.0}, alphabets)
+        assert rate.uid_classify(single).verdict == "strong_uid"
 
     def test_uid_spread_single_sequence(self):
         m = d.make_iid({"a": 0.3, "b": 0.7}, 2)

@@ -43,7 +43,7 @@ class TestGeometry:
                 assert ring.ring_distance(a, b) == oracle[(a.value, b.value)]
 
     def test_cycle_consecutive_entries_are_swaps(self):
-        cycle = ring.RING_CYCLE
+        cycle = ring.ORDERS
         for i, order in enumerate(cycle):
             nxt = cycle[(i + 1) % 6]
             assert ring.ring_distance(order, nxt) == 1
