@@ -293,7 +293,7 @@ def _kernel_from_config(cfg):
         raise InputParseError(f"bad kernel config: {exc}") from None
 
 
-def _config_int(cfg, name, default, minimum=None):
+def _config_int(cfg, name, default, minimum=None, maximum=None):
     value = cfg.get(name, default)
     try:
         number = int(value)
@@ -303,6 +303,8 @@ def _config_int(cfg, name, default, minimum=None):
         ) from None
     if minimum is not None and number < minimum:
         raise InputParseError(f"config {name!r} = {number} must be >= {minimum}")
+    if maximum is not None and number > maximum:
+        raise InputParseError(f"config {name!r} = {number} must be <= {maximum}")
     return number
 
 
@@ -322,7 +324,8 @@ def ring_simulate_cmd(config_path):
         kernel,
         _word_order(cfg.get("start", "SOV")),
         _config_int(cfg, "steps", 1, minimum=0),
-        _config_int(cfg, "ensemble_size", 1000, minimum=1),
+        # ring.evolve keeps its chain counts as int64
+        _config_int(cfg, "ensemble_size", 1000, minimum=1, maximum=2**63 - 1),
         _config_int(cfg, "seed", 0),
     )
     header = ["step"] + [str(o) for o in ring.ORDERS]

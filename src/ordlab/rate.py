@@ -162,22 +162,30 @@ def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
     estimates collapse towards zero.  Raises InsufficientData when not even
     the unigram estimate clears ``min_windows``.  No order past the one
     that stops the profile is counted.
+
+    With cyclic windows every order has the same windows, so an order with
+    no more blocks than the one before has the same partition: each
+    (k-1)-block determines its next token, every higher order has that
+    partition too, and every later value is exactly 0.0.  Counting stops
+    there, and the zeros up to ``max_order`` are emitted uncounted.
     """
     values = []
     previous = 0.0
+    blocks = 0
     for order in range(1, table.max_order + 1):
         total = table.total_positions[order]
         if total < min_windows:
             break
-        if (
-            coverage_cap is not None
-            and order > 1
-            and len(table._grouping(order)[1]) > coverage_cap * total
-        ):
+        n_blocks = len(table._grouping(order)[1])
+        if coverage_cap is not None and order > 1 and n_blocks > coverage_cap * total:
             break
         h_block = block_entropy(table, order)
         values.append(h_block - previous)
         previous = h_block
+        if table.cyclic and n_blocks == blocks:
+            values += [0.0] * (table.max_order - order)
+            break
+        blocks = n_blocks
     if not values:
         raise InsufficientData("sequence too short for any conditional estimate")
     return EntropyProfile(values, "rate", strict=False)

@@ -161,8 +161,12 @@ class RingKernel:
                 raise ValueError(f"filter weight {weight!r} must be finite and >= 0")
 
     def decay(self, distance):
+        # math, not numpy: np.exp's last bit depends on the CPU's SIMD kernels
         if self.decay_kind == "exponential":
-            return float(np.exp(-self.decay_param * distance))
+            try:
+                return math.exp(-self.decay_param * distance)
+            except OverflowError:
+                return math.inf
         if self.decay_kind == "inverse_power":
             try:
                 return float(distance) ** -self.decay_param
@@ -221,30 +225,25 @@ def evolve(kernel, start, steps, ensemble_size, seed):
     """Run an ensemble of independent chains; deterministic per seed.
 
     Chains are exchangeable, so only the number of chains in each state is
-    kept.  Each step goes through the occupied states in order, draws one
-    uniform per chain in that state and buckets it by the row's normalised
-    cumulative sum.  These are the draws and buckets of per-chain sampling
-    with ``rng.choice(6, size=count, p=row)``, so the frequencies and the
-    generator state come out the same, without per-chain arrays.
+    kept.  Each step splits the chains in every state among their
+    destinations with one multinomial draw over that state's row of
+    ``transition_matrix(kernel)``, state by state in ``ORDERS`` order (a
+    state with no chains draws nothing), and the next counts are the sums
+    of those draws.  A step costs the same whatever ``ensemble_size`` is,
+    and no array grows with it.
     """
     if steps < 0 or ensemble_size < 1:
         raise ValueError("steps must be >= 0 and ensemble_size >= 1")
     start_idx = ORDERS.index(as_order(start))
-    cdf = transition_matrix(kernel).cumsum(axis=1)
-    cdf = cdf / cdf[:, -1:]
+    matrix = transition_matrix(kernel)
     rng = substream(seed, "ring", "evolve")
     counts = np.zeros(6, dtype=np.int64)
     counts[start_idx] = ensemble_size
     freqs = np.zeros((steps + 1, 6))
     freqs[0] = counts / ensemble_size
     for step in range(1, steps + 1):
-        # at_most[j]: chains whose next state is <= j
-        at_most = np.zeros(6, dtype=np.int64)
-        for s in np.flatnonzero(counts):
-            u = rng.random(counts[s])
-            at_most[:5] += [np.count_nonzero(u < c) for c in cdf[s, :5]]
-        at_most[5] = ensemble_size
-        counts = np.diff(at_most, prepend=0)
+        # row s of the draw is the multinomial(counts[s], matrix[s]) split
+        counts = rng.multinomial(counts, matrix).sum(axis=0)
         freqs[step] = counts / ensemble_size
     return Trajectory(ORDERS, freqs)
 

@@ -437,6 +437,7 @@ BAD_INPUTS = {
     "number_decay": json.dumps({"decay": 5}),
     "negative_steps": json.dumps({"steps": -1}),
     "empty_ensemble": json.dumps({"ensemble_size": 0}),
+    "ensemble_over_int64": json.dumps({"ensemble_size": 2**63}),
     "text_steps": json.dumps({"steps": "x"}),
     "text_beta": json.dumps({"decay": {"kind": "exponential", "beta": "x"}}),
     "overflowing_beta": json.dumps({"decay": {"beta": -1000}}),
@@ -617,6 +618,7 @@ ERROR_CASES = [
     (["ring", "compare", "--dist",
       "SOV=0.3,SVO=0.3,VSO=0.1,VOS=0.1,OVS=0.1,OSV=0.1,sov=0.3"], 1,
      "input_parse_error"),
+    (["ring", "simulate", "--config", "{ensemble_over_int64}"], 1, "input_parse_error"),
 ]
 
 

@@ -191,6 +191,11 @@ class TestMatchesCounterReference:
     # (np.bincount) and just past it with 7 (np.unique)
     @example("abcdabdca", 3, False, None, 1)
     @example("abcdabdc", 3, False, None, 1)
+    # cyclic blocks stop splitting by order len(sequence) + 1 at the latest;
+    # past that the profile emits zeros without counting, and the reference
+    # counts every order
+    @example("abcabc", 30, True, None, 1)
+    @example("aabacbb", 20, True, 1.0, 2)
     def test_same_floats(self, sequence, max_order, cyclic, coverage_cap,
                          min_windows):
         table = rate.ngram_counts(sequence, max_order, cyclic=cyclic)
@@ -220,6 +225,21 @@ class TestLazyCounting:
         table = rate.ngram_counts("abcabc", 8)
         profile = rate.conditional_entropy_profile(table, 3, coverage_cap=None)
         assert len(profile) == 4
+        assert sorted(table._groups) == [1, 2, 3, 4]
+
+    def test_cyclic_profile_counts_up_to_its_fixpoint(self):
+        # order 2 has as many blocks as order 1: nothing past it is counted
+        table = rate.ngram_counts(["a", "b", "c"] * 40, 200_000, cyclic=True)
+        profile = rate.conditional_entropy_profile(table, coverage_cap=None)
+        assert len(profile) == 200_000
+        assert profile.values[0] == math.log2(3)
+        assert set(profile.values[1:]) == {0.0}
+        assert sorted(table._groups) == [1, 2]
+        # 7 tokens whose 7 cyclic 3-blocks all differ: order 4 shows that
+        # they stopped splitting
+        table = rate.ngram_counts("aabacbb", 50, cyclic=True)
+        profile = rate.conditional_entropy_profile(table, coverage_cap=None)
+        assert len(profile) == 50
         assert sorted(table._groups) == [1, 2, 3, 4]
 
     def test_unigram_view_in_first_occurrence_order(self):

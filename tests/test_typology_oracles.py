@@ -1,9 +1,12 @@
 """Oracles for the typology path: landscapes and ring evolution.
 
-``deplen.landscape`` and ``ring.evolve`` are checked for exact equality
-(values, types and random streams) against the straightforward algorithms
-they replace: a per-position sum over every dependent, and per-chain
-sampling with ``rng.choice``.
+``deplen.landscape`` is checked for exact equality (values and types)
+against the straightforward algorithm it replaces: a per-position sum over
+every dependent.  ``ring.evolve`` is checked bit for bit, random stream
+included, against a reference that splits each state's chains by
+sequential conditional binomials, as a multinomial draw does, and its
+final counts are checked against the exact distribution e0 P^t with a
+chi-square test.
 """
 
 import functools
@@ -12,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 from ordlab import deplen, ring
 from ordlab.errors import CostOverflow
@@ -139,22 +143,34 @@ def test_dependency_cost_is_the_landscape_entry(m, name):
 
 
 def reference_evolve(kernel, start, steps, ensemble_size, seed):
-    """One state per chain; each occupied state samples with rng.choice."""
+    """Split each occupied state's chains by sequential conditional binomials.
+
+    Destination j takes Binomial(left, p_j / rest) of the chains still left,
+    where rest is the row mass of destinations j..5, and destination 5 takes
+    the remainder.  Together the draws are one multinomial split of the
+    state's chains, the one per-chain sampling would give in distribution.
+    """
     start_idx = ring.ORDERS.index(ring.as_order(start))
-    matrix = ring.transition_matrix(kernel)
+    matrix = ring.transition_matrix(kernel).tolist()
     rng = ring.substream(seed, "ring", "evolve")
-    states = np.full(ensemble_size, start_idx, dtype=np.int64)
+    counts = [0] * 6
+    counts[start_idx] = ensemble_size
     freqs = np.zeros((steps + 1, 6))
-    freqs[0] = np.bincount(states, minlength=6) / ensemble_size
+    freqs[0] = np.array(counts) / ensemble_size
     for step in range(1, steps + 1):
-        new_states = np.empty_like(states)
+        new_counts = [0] * 6
         for s in range(6):
-            mask = states == s
-            count = int(mask.sum())
-            if count:
-                new_states[mask] = rng.choice(6, size=count, p=matrix[s])
-        states = new_states
-        freqs[step] = np.bincount(states, minlength=6) / ensemble_size
+            left, rest = counts[s], 1.0
+            for j, p in enumerate(matrix[s][:5]):
+                if not left:
+                    break
+                drawn = int(rng.binomial(left, min(1.0, p / rest)))
+                new_counts[j] += drawn
+                left -= drawn
+                rest -= p
+            new_counts[5] += left
+        counts = new_counts
+        freqs[step] = np.array(counts) / ensemble_size
     return freqs
 
 
@@ -219,33 +235,24 @@ def test_evolve_matches_per_chain_sampling_random(kernel, start, steps, ensemble
     assert np.array_equal(got.frequencies, want)
 
 
-class BoundaryGenerator(np.random.Generator):
-    """Uniforms that often land exactly on a cumulative-probability boundary.
-
-    ``Generator.choice`` takes its uniforms from ``self.random``, so both
-    samplers see the same values, ties included.
-    """
-
-    def __init__(self, boundaries, seed):
-        super().__init__(np.random.PCG64(seed))
-        self.boundaries = np.asarray(boundaries)
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        plain = super().random(size)
-        tie = super().random(size) < 0.5
-        picks = self.boundaries[super().integers(len(self.boundaries), size=size)]
-        return np.where(tie, picks, plain)
+def exact_distribution(kernel, start, steps):
+    """e0 P^t: the distribution of one chain's state after ``steps`` steps."""
+    e0 = np.zeros(6)
+    e0[ring.ORDERS.index(ring.as_order(start))] = 1.0
+    return e0 @ np.linalg.matrix_power(ring.transition_matrix(kernel), steps)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_evolve_buckets_boundary_draws_like_choice(monkeypatch, kernel):
+def test_evolve_final_counts_fit_the_exact_distribution(kernel):
     kernel = KERNELS[kernel]
-    cdf = ring.transition_matrix(kernel).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    boundaries = np.unique(np.append(cdf[cdf < 1.0], 0.0))
-    for start in ring.ORDERS:
-        monkeypatch.setattr(ring, "substream",
-                            lambda *a: BoundaryGenerator(boundaries, 11))
-        got = ring.evolve(kernel, start, 6, 400, 0)
-        want = reference_evolve(kernel, start, 6, 400, 0)
-        assert np.array_equal(got.frequencies, want)
+    chains, steps = 100_000, 5
+    for i, start in enumerate(ring.ORDERS):
+        counts = ring.evolve(kernel, start, steps, chains, 31 + i).frequencies[-1]
+        counts = np.rint(counts * chains)
+        expected = exact_distribution(kernel, start, steps) * chains
+        reachable = expected > 0
+        # a destination the kernel cannot reach gets no chain at all
+        assert not counts[~reachable].any()
+        if reachable.sum() > 1:
+            result = chisquare(counts[reachable], expected[reachable])
+            assert result.pvalue > 1e-3, (start, counts, expected)
