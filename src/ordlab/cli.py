@@ -289,7 +289,7 @@ def _kernel_from_config(cfg):
             filters=cfg.get("filters", {}),
             self_weight=cfg.get("self_weight", 0.0),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputParseError(f"bad kernel config: {exc}") from None
 
 

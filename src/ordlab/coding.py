@@ -113,9 +113,6 @@ def mean_length(table):
     return math.fsum(p * l for p, l in table.pairs())
 
 
-contextual_mean_length = mean_length
-
-
 def per_target_length(table, y):
     """L_n(y): the y-slice of the contextual mean length."""
     if y not in {t for (_, t) in table.entries}:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deplen
-from .infotheory import IDENTITY, TIE_TOLERANCE, uncertainty_profile
+from .infotheory import TIE_TOLERANCE, uncertainty_profile
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,11 @@ class ConflictReport:
         return self.dep_costs[p - 1], self.uncertainties[p - 1]
 
 
-def conflict_report(model, context_order, target=None, transducer=IDENTITY):
+def conflict_report(model, context_order, target=None):
     """Cost table over all head positions for one model and dependent order."""
     profile = uncertainty_profile(model, context_order, target)
     m = len(profile)  # the head plus its dependents
-    dep_costs = deplen.landscape(m, transducer).costs
+    dep_costs = deplen.landscape(m).costs
     uncertainties = tuple(profile.values)  # profile[i] with i = p - 1
     return ConflictReport(m, dep_costs, uncertainties)
 

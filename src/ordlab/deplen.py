@@ -38,11 +38,6 @@ class DependencyLandscape:
         return frozenset(p + 1 for p, c in enumerate(self.costs) if c >= worst - tol)
 
 
-def dependency_sum(m, head_pos):
-    """Sum of |head_pos - d| over the m - 1 dependent positions."""
-    return dependency_cost(m, head_pos)
-
-
 def _check_args(m, transducer, head_pos=1):
     if m < 2:
         raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
@@ -71,8 +66,7 @@ def dependency_cost(m, head_pos, transducer=IDENTITY):
 
 def min_dependency_sum(m):
     """Closed-form minimum: D = (m^2 - m mod 2) / 4 at the center position(s)."""
-    if m < 2:
-        raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
+    _check_args(m, IDENTITY)
     value = (m * m - m % 2) // 4
     if m % 2 == 1:
         positions = frozenset({(m + 1) // 2})
@@ -83,8 +77,7 @@ def min_dependency_sum(m):
 
 def max_dependency_sum(m):
     """Closed-form maximum: D = m(m-1)/2 at the extreme positions {1, m}."""
-    if m < 2:
-        raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
+    _check_args(m, IDENTITY)
     return m * (m - 1) // 2, frozenset({1, m})
 
 

@@ -341,6 +341,11 @@ class SequenceSource:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
+        needs = {"iid": ("marginal",), "markov": ("initial", "transition"),
+                 "homogeneous": ("symbol",)}.get(self.kind, ())
+        missing = [name for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.kind} source needs {' and '.join(missing)}")
         if self.kind == "iid":
             check_mass(self.marginal.values(), "marginal")
         if self.kind == "markov":

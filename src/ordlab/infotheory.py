@@ -11,7 +11,8 @@ transducers, which is checked rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 from .errors import (
     CostOverflow,
@@ -100,14 +101,15 @@ class EntropyProfile:
         object.__setattr__(self, "values", tuple(self.values))
         if self.kind not in ("uncertainty", "predictability", "rate"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.strict and not self.is_monotone(TIE_TOLERANCE):
+        if self.strict and not self.is_monotone():
             raise ValueError(f"{self.kind} profile violates monotonicity")
 
-    def is_monotone(self, tolerance=TIE_TOLERANCE):
+    def is_monotone(self):
+        """Monotone in the profile's direction, up to ``TIE_TOLERANCE``."""
         pairs = zip(self.values, self.values[1:])
         if self.kind == "predictability":
-            return all(b >= a - tolerance for a, b in pairs)
-        return all(b <= a + tolerance for a, b in pairs)
+            return all(b >= a - TIE_TOLERANCE for a, b in pairs)
+        return all(b <= a + TIE_TOLERANCE for a, b in pairs)
 
     def __len__(self):
         return len(self.values)
@@ -186,23 +188,18 @@ class CostTransducer:
 
     kinds: identity, affine(a, b), power(k), exponential(rate),
     tabulated(knots_x, knots_y) with linear interpolation.  ``direction``
-    must match the analytic shape, otherwise NonMonotoneTransducer.
+    ("increasing" or "decreasing") follows from the kind and parameters;
+    parameters that give no strictly monotone map raise
+    NonMonotoneTransducer.
     """
 
     kind: str
     params: tuple = ()
-    direction: str = "increasing"
+    direction: str = field(init=False)
 
     def __post_init__(self):
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "params", tuple(self.params))
-        inferred = self._inferred_direction()
-        if inferred != self.direction:
-            raise NonMonotoneTransducer(
-                f"{self.kind}{self.params!r} is {inferred}, "
-                f"declared {self.direction}"
-            )
+        object.__setattr__(self, "direction", self._inferred_direction())
 
     def _inferred_direction(self):
         if self.kind == "identity":
@@ -252,17 +249,11 @@ class CostTransducer:
             raise CostOverflow(
                 f"{self.kind}{self.params!r} at {x!r} overflows a float"
             ) from None
-        # tabulated: linear interpolation, clamped extrapolation by end slopes
+        # tabulated: linear interpolation, extrapolation by the end segments
         xs, ys = self.params
-        if x <= xs[0]:
-            lo, hi = 0, 1
-        elif x >= xs[-1]:
-            lo, hi = len(xs) - 2, len(xs) - 1
-        else:
-            lo = max(i for i in range(len(xs)) if xs[i] <= x)
-            hi = lo + 1
-        t = (x - xs[lo]) / (xs[hi] - xs[lo])
-        return ys[lo] + t * (ys[hi] - ys[lo])
+        lo = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+        t = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
+        return ys[lo] + t * (ys[lo + 1] - ys[lo])
 
 
 IDENTITY = CostTransducer("identity")

@@ -28,6 +28,7 @@ from .errors import (
 from .infotheory import EntropyProfile, entropy
 
 GAMMA_GRID = np.arange(0.05, 1.5 + 1e-9, 0.005)
+UID_TOLERANCE = 1e-9
 
 
 class _OrderView(Mapping):
@@ -154,14 +155,14 @@ def block_entropy(table, order):
     return plugin_entropy(table._grouping(order)[1] / total)
 
 
-def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
+def conditional_entropy_profile(table, coverage_cap=0.2):
     """Estimated H(X_i | X_1..X_{i-1}) for i = 1..k.
 
-    The profile is truncated once distinct blocks exceed ``coverage_cap``
-    of the window count (pass None to disable): beyond that point plug-in
-    estimates collapse towards zero.  Raises InsufficientData when not even
-    the unigram estimate clears ``min_windows``.  No order past the one
-    that stops the profile is counted.
+    The profile stops before the first order with no window left, and
+    before the first order past 1 whose distinct blocks exceed
+    ``coverage_cap`` of the window count (pass None to disable): beyond
+    that point plug-in estimates collapse towards zero.  No order past the
+    one that stops the profile is counted.
 
     With cyclic windows every order has the same windows, so an order with
     no more blocks than the one before has the same partition: each
@@ -174,7 +175,7 @@ def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
     blocks = 0
     for order in range(1, table.max_order + 1):
         total = table.total_positions[order]
-        if total < min_windows:
+        if not total:
             break
         n_blocks = len(table._grouping(order)[1])
         if coverage_cap is not None and order > 1 and n_blocks > coverage_cap * total:
@@ -191,19 +192,14 @@ def conditional_entropy_profile(table, min_windows=1, coverage_cap=0.2):
     return EntropyProfile(values, "rate", strict=False)
 
 
-def exact_periodic_profile(period, depth, reading="relaxed"):
+def exact_periodic_profile(period, depth):
     """Exact per-position profile of a perfect periodic source with T types.
 
-    relaxed reading (arbitrary subsequence, uniformly chosen phase):
-    [log2 T, 0, 0, ...].  full-history reading (position 1 is always the
-    block start): all zeros.
+    An arbitrary subsequence with a uniformly chosen phase (the relaxed
+    reading) gives [log2 T, 0, 0, ...].
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    if reading == "full":
-        return EntropyProfile([0.0] * depth, "rate", strict=False)
-    if reading != "relaxed":
-        raise ValueError(f"unknown reading {reading!r}")
     values = [math.log2(period)] + [0.0] * (depth - 1)
     return EntropyProfile(values, "rate", strict=False)
 
@@ -243,12 +239,13 @@ class UidClassification:
     offending_sequence: tuple | None
 
 
-def uid_classify(model, tolerance=1e-9):
+def uid_classify(model):
     """Classify a joint model as full_uid / strong_uid / neither.
 
     strong: every supported sequence has constant conditional probabilities
-    along its positions.  full: strong, and the support is the whole
-    Cartesian product of the per-position alphabets.
+    along its positions, up to a spread of ``UID_TOLERANCE``.  full: strong,
+    and the support is the whole Cartesian product of the per-position
+    alphabets.
     """
     if not model.roles:
         raise ArityMismatch("a model without roles has no conditional probabilities")
@@ -274,7 +271,7 @@ def uid_classify(model, tolerance=1e-9):
             worst = float(spreads[row])
             offender = tuple(model.alphabets[r].symbols[c]
                              for r, c in zip(model.roles, model._codes[row].tolist()))
-    if worst > tolerance:
+    if worst > UID_TOLERANCE:
         return UidClassification("neither", worst, offender)
     cardinality = math.prod(len(model.alphabets[r]) for r in model.roles)
     full_support = len(group.mass) == cardinality

@@ -212,13 +212,15 @@ def transition_matrix(kernel):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step empirical distribution over ORDERS for an evolved ensemble."""
+    """Per-step empirical distribution over ORDERS for an evolved ensemble.
 
-    orders: tuple[WordOrder, ...]
+    Column j of ``frequencies`` is the share of chains in ``ORDERS[j]``.
+    """
+
     frequencies: np.ndarray  # shape (steps + 1, 6), rows sum to 1
 
     def distribution(self, step):
-        return dict(zip(self.orders, self.frequencies[step]))
+        return dict(zip(ORDERS, self.frequencies[step]))
 
 
 def evolve(kernel, start, steps, ensemble_size, seed):
@@ -245,7 +247,7 @@ def evolve(kernel, start, steps, ensemble_size, seed):
         # row s of the draw is the multinomial(counts[s], matrix[s]) split
         counts = rng.multinomial(counts, matrix).sum(axis=0)
         freqs[step] = counts / ensemble_size
-    return Trajectory(ORDERS, freqs)
+    return Trajectory(freqs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_01_dependency_closed_forms():
     with criterion(1, "dependency closed forms, m = 2..64"):
         start = time.perf_counter()
         for m in range(2, 65):
-            costs = {p: deplen.dependency_sum(m, p) for p in range(1, m + 1)}
+            costs = {p: deplen.dependency_cost(m, p) for p in range(1, m + 1)}
             max_value = max(costs.values())
             min_value = min(costs.values())
             assert max_value == m * (m - 1) // 2
@@ -86,13 +86,11 @@ INCREASING = [
     CostTransducer("tabulated", ((0.0, 1.0, 5.0, 10.0), (0.0, 0.5, 7.0, 50.0))),
 ]
 DECREASING = [
-    CostTransducer("affine", (-1.0, 5.0), direction="decreasing"),
-    CostTransducer("exponential", (-1.0,), direction="decreasing"),
-    CostTransducer("exponential", (-0.3,), direction="decreasing"),
-    CostTransducer("affine", (-2.5, 0.0), direction="decreasing"),
-    CostTransducer(
-        "tabulated", ((0.0, 2.0, 10.0), (4.0, 1.0, -3.0)), direction="decreasing"
-    ),
+    CostTransducer("affine", (-1.0, 5.0)),
+    CostTransducer("exponential", (-1.0,)),
+    CostTransducer("exponential", (-0.3,)),
+    CostTransducer("affine", (-2.5, 0.0)),
+    CostTransducer("tabulated", ((0.0, 2.0, 10.0), (4.0, 1.0, -3.0))),
 ]
 
 
@@ -361,7 +359,7 @@ def test_11_coding_optimality():
                 for cell, p in zip(cells, mass)
             }
             table = coding.ContextTable(entries, context_order=1)
-            total = coding.contextual_mean_length(table)
+            total = coding.mean_length(table)
             by_target = math.fsum(
                 coding.per_target_length(table, y) for y in table.targets()
             )

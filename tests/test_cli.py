@@ -453,6 +453,13 @@ BAD_INPUTS = {
         {"decay": {"kind": "tabulated", "weights": {"1": 1, "2": -0.1, "3": 0.1}}}
     ),
     "nan_self_weight": json.dumps({"self_weight": float("nan")}),
+    # JSON integers too large for a float
+    "huge_int_beta": json.dumps({"decay": {"beta": 10**400}}),
+    "huge_int_filter": json.dumps({"filters": {"dlm": 10**400}}),
+    "huge_int_self_weight": json.dumps({"self_weight": 10**400}),
+    "huge_int_tabulated": json.dumps(
+        {"decay": {"kind": "tabulated", "weights": {"1": 1, "2": 10**400, "3": 0.1}}}
+    ),
     "unknown_symbol": json.dumps({
         "roles": ["y", "x1"],
         "alphabets": {"y": ["a", "b"], "x1": ["a"]},
@@ -619,6 +626,9 @@ ERROR_CASES = [
       "SOV=0.3,SVO=0.3,VSO=0.1,VOS=0.1,OVS=0.1,OSV=0.1,sov=0.3"], 1,
      "input_parse_error"),
     (["ring", "simulate", "--config", "{ensemble_over_int64}"], 1, "input_parse_error"),
+    *((["ring", "simulate", "--config", f"{{{name}}}"], 1, "input_parse_error")
+      for name in ("huge_int_beta", "huge_int_filter", "huge_int_self_weight",
+                   "huge_int_tabulated")),
 ]
 
 

@@ -218,7 +218,7 @@ CONTEXT = coding.ContextTable(
 class TestContextTable:
     def test_contextual_mean(self):
         want = 0.3 * 1 + 0.2 * 2 + 0.1 * 2 + 0.4 * 1
-        assert coding.contextual_mean_length(CONTEXT) == pytest.approx(want)
+        assert coding.mean_length(CONTEXT) == pytest.approx(want)
 
     def test_per_target(self):
         assert coding.per_target_length(CONTEXT, "x") == pytest.approx(0.5)
@@ -231,7 +231,7 @@ class TestContextTable:
 
     def test_decomposition_identity(self):
         # L_n = sum over y of L_n(y) = sum over y of p(y) M_n(y)
-        total = coding.contextual_mean_length(CONTEXT)
+        total = coding.mean_length(CONTEXT)
         by_target = math.fsum(
             coding.per_target_length(CONTEXT, y) for y in CONTEXT.targets()
         )

@@ -15,7 +15,7 @@ class TestConflictReport:
         prof = it.uncertainty_profile(and_model, ("x1", "x2"))
         assert report.uncertainties == tuple(prof.values)
         for p in report.positions():
-            assert report.dep_costs[p - 1] == deplen.dependency_sum(report.m, p)
+            assert report.dep_costs[p - 1] == deplen.dependency_cost(report.m, p)
 
     def test_m_counts_head_and_dependents(self, and_model):
         report = make_report(and_model)

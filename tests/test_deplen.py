@@ -11,34 +11,29 @@ SQUARE = CostTransducer("power", (2.0,))
 
 class TestDependencySum:
     def test_central_m3(self):
-        assert deplen.dependency_sum(3, 2) == 2
+        assert deplen.dependency_cost(3, 2) == 2
 
     def test_extreme_m5(self):
-        assert deplen.dependency_sum(5, 1) == 10
+        assert deplen.dependency_cost(5, 1) == 10
 
     def test_minimal_pair(self):
-        assert deplen.dependency_sum(2, 1) == 1
+        assert deplen.dependency_cost(2, 1) == 1
 
     def test_position_out_of_range(self):
         with pytest.raises(PositionOutOfRange):
-            deplen.dependency_sum(3, 0)
+            deplen.dependency_cost(3, 0)
         with pytest.raises(PositionOutOfRange):
-            deplen.dependency_sum(3, 4)
+            deplen.dependency_cost(3, 4)
         with pytest.raises(PositionOutOfRange):
-            deplen.dependency_sum(1, 1)
+            deplen.dependency_cost(1, 1)
 
     @pytest.mark.parametrize("m", range(2, 20))
     def test_reflection_symmetry(self, m):
         for p in range(1, m + 1):
-            assert deplen.dependency_sum(m, p) == deplen.dependency_sum(m, m + 1 - p)
+            assert deplen.dependency_cost(m, p) == deplen.dependency_cost(m, m + 1 - p)
 
 
 class TestDependencyCost:
-    def test_identity_equals_sum(self):
-        for m in range(2, 10):
-            for p in range(1, m + 1):
-                assert deplen.dependency_cost(m, p) == deplen.dependency_sum(m, p)
-
     def test_square_center(self):
         assert deplen.dependency_cost(3, 2, SQUARE) == 2
 
@@ -46,7 +41,7 @@ class TestDependencyCost:
         assert deplen.dependency_cost(3, 1, SQUARE) == 5
 
     def test_decreasing_transducer_rejected(self):
-        g = CostTransducer("affine", (-1.0, 0.0), direction="decreasing")
+        g = CostTransducer("affine", (-1.0, 0.0))
         with pytest.raises(NonMonotoneTransducer):
             deplen.dependency_cost(3, 1, g)
 
@@ -64,7 +59,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("m", range(2, 65))
     def test_closed_forms_vs_enumeration(self, m):
-        costs = {p: deplen.dependency_sum(m, p) for p in range(1, m + 1)}
+        costs = {p: deplen.dependency_cost(m, p) for p in range(1, m + 1)}
         min_value = min(costs.values())
         max_value = max(costs.values())
         min_positions = {p for p, c in costs.items() if c == min_value}

@@ -217,6 +217,17 @@ class TestGenerate:
         src = d.SequenceSource(kind="homogeneous", symbol="a")
         assert d.generate(src, 0) == []
 
+    @pytest.mark.parametrize("fields, missing", [
+        ({"kind": "iid"}, "marginal"),
+        ({"kind": "markov"}, "initial and transition"),
+        ({"kind": "markov", "initial": {"a": 1.0}}, "transition"),
+        ({"kind": "markov", "transition": {"a": {"a": 1.0}}}, "initial"),
+        ({"kind": "homogeneous"}, "symbol"),
+    ])
+    def test_missing_field_rejected(self, fields, missing):
+        with pytest.raises(ValueError, match=f"source needs {missing}$"):
+            d.SequenceSource(**fields)
+
     def test_draw_past_a_row_total_below_one(self, monkeypatch):
         # the float cumulative row of (0.6, 0.3, 0.1, 0) ends at 0.9999999999999999
         class Stub:

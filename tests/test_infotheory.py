@@ -210,13 +210,11 @@ INCREASING = [
     it.CostTransducer("tabulated", ((0.0, 1.0, 5.0, 10.0), (0.0, 0.5, 7.0, 50.0))),
 ]
 DECREASING = [
-    it.CostTransducer("affine", (-1.0, 5.0), direction="decreasing"),
-    it.CostTransducer("exponential", (-1.0,), direction="decreasing"),
-    it.CostTransducer("exponential", (-0.3,), direction="decreasing"),
-    it.CostTransducer("affine", (-2.5, 0.0), direction="decreasing"),
-    it.CostTransducer(
-        "tabulated", ((0.0, 2.0, 10.0), (4.0, 1.0, -3.0)), direction="decreasing"
-    ),
+    it.CostTransducer("affine", (-1.0, 5.0)),
+    it.CostTransducer("exponential", (-1.0,)),
+    it.CostTransducer("exponential", (-0.3,)),
+    it.CostTransducer("affine", (-2.5, 0.0)),
+    it.CostTransducer("tabulated", ((0.0, 2.0, 10.0), (4.0, 1.0, -3.0))),
 ]
 
 
@@ -256,13 +254,21 @@ class TestTransducers:
                 and_model, ("x1", "x2"), "uncertainty", DECREASING[0]
             )
 
+    @pytest.mark.parametrize("x, want", [
+        (-2.0, -1.0),  # before the first knot: the first segment extended
+        (0.0, 0.0), (1.0, 0.5), (5.0, 7.0), (9.0, 15.0),  # at the knots
+        (3.0, 3.75), (7.0, 11.0),  # between knots
+        (13.0, 23.0),  # past the last knot: the last segment extended
+    ])
+    def test_tabulated_values(self, x, want):
+        g = it.CostTransducer("tabulated", ((0.0, 1.0, 5.0, 9.0), (0.0, 0.5, 7.0, 15.0)))
+        assert g(x) == want
+
     def test_non_monotone_construction_rejected(self):
         with pytest.raises(NonMonotoneTransducer):
             it.CostTransducer("affine", (0.0, 1.0))
         with pytest.raises(NonMonotoneTransducer):
             it.CostTransducer("tabulated", ((0.0, 1.0, 2.0), (0.0, 2.0, 1.0)))
-        with pytest.raises(NonMonotoneTransducer):
-            it.CostTransducer("exponential", (1.0,), direction="decreasing")
 
 
 class TestMarkovEquality:

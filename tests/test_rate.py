@@ -39,13 +39,13 @@ def reference_block_entropy(counter, total):
     return -math.fsum((c / total) * math.log2(c / total) for c in counter.values())
 
 
-def reference_profile(sequence, max_order, cyclic, min_windows, coverage_cap):
+def reference_profile(sequence, max_order, cyclic, coverage_cap):
     """Counter-based conditional_entropy_profile values, kept as its oracle."""
     counts, totals = reference_ngram_counts(sequence, max_order, cyclic)
     values, previous = [], 0.0
     for order in range(1, max_order + 1):
         total = totals[order]
-        if total < min_windows:
+        if not total:
             break
         if (coverage_cap is not None and order > 1
                 and len(counts[order]) > coverage_cap * total):
@@ -176,38 +176,29 @@ class TestConditionalProfile:
         profile = rate.conditional_entropy_profile(table, coverage_cap=0.2)
         assert len(profile.values) == 1
 
-    def test_min_windows(self):
-        table = rate.ngram_counts("ab", 1)
-        with pytest.raises(InsufficientData):
-            rate.conditional_entropy_profile(table, min_windows=10)
-
 
 class TestMatchesCounterReference:
     @settings(deadline=None)
     @given(st.one_of(token_sequences(), grouping_boundary_sequences()),
-           st.integers(1, 8), st.booleans(), st.sampled_from([0.2, 0.05, None]),
-           st.integers(1, 4))
+           st.integers(1, 8), st.booleans(), st.sampled_from([0.2, 0.05, None]))
     # four tokens: order 2 has id range 16, on the switch with 8 windows
     # (np.bincount) and just past it with 7 (np.unique)
-    @example("abcdabdca", 3, False, None, 1)
-    @example("abcdabdc", 3, False, None, 1)
+    @example("abcdabdca", 3, False, None)
+    @example("abcdabdc", 3, False, None)
     # cyclic blocks stop splitting by order len(sequence) + 1 at the latest;
     # past that the profile emits zeros without counting, and the reference
     # counts every order
-    @example("abcabc", 30, True, None, 1)
-    @example("aabacbb", 20, True, 1.0, 2)
-    def test_same_floats(self, sequence, max_order, cyclic, coverage_cap,
-                         min_windows):
+    @example("abcabc", 30, True, None)
+    @example("aabacbb", 20, True, 1.0)
+    def test_same_floats(self, sequence, max_order, cyclic, coverage_cap):
         table = rate.ngram_counts(sequence, max_order, cyclic=cyclic)
-        want = reference_profile(sequence, max_order, cyclic, min_windows,
-                                 coverage_cap)
+        want = reference_profile(sequence, max_order, cyclic, coverage_cap)
         if want:
-            profile = rate.conditional_entropy_profile(table, min_windows,
-                                                       coverage_cap)
+            profile = rate.conditional_entropy_profile(table, coverage_cap)
             assert list(profile.values) == want
         else:
             with pytest.raises(InsufficientData):
-                rate.conditional_entropy_profile(table, min_windows, coverage_cap)
+                rate.conditional_entropy_profile(table, coverage_cap)
         counts, totals = reference_ngram_counts(sequence, max_order, cyclic)
         for order in counts:
             if totals[order]:
@@ -221,11 +212,11 @@ class TestLazyCounting:
         table = rate.ngram_counts([f"t{i}" for i in range(40)], 8)
         assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
         assert sorted(table._groups) == [1, 2]
-        # 6 tokens, min_windows 3: orders 5.. have too few windows
-        table = rate.ngram_counts("abcabc", 8)
-        profile = rate.conditional_entropy_profile(table, 3, coverage_cap=None)
-        assert len(profile) == 4
-        assert sorted(table._groups) == [1, 2, 3, 4]
+        # 3 tokens: orders 4.. have no window left
+        table = rate.ngram_counts("abc", 8)
+        profile = rate.conditional_entropy_profile(table, coverage_cap=None)
+        assert len(profile) == 3
+        assert sorted(table._groups) == [1, 2, 3]
 
     def test_cyclic_profile_counts_up_to_its_fixpoint(self):
         # order 2 has as many blocks as order 1: nothing past it is counted
@@ -271,16 +262,8 @@ class TestExactPeriodic:
         profile = rate.exact_periodic_profile(4, 5)
         assert profile.values == (2.0, 0.0, 0.0, 0.0, 0.0)
 
-    def test_full(self):
-        profile = rate.exact_periodic_profile(4, 5, reading="full")
-        assert profile.values == (0.0,) * 5
-
     def test_period_one(self):
         assert rate.exact_periodic_profile(1, 3).values == (0.0, 0.0, 0.0)
-
-    def test_bad_reading(self):
-        with pytest.raises(ValueError):
-            rate.exact_periodic_profile(2, 3, reading="typo")
 
 
 class TestCer:
