@@ -7,6 +7,12 @@ columns roll forward from those of k - 1 columns by one code, the mass of
 each group and its plug-in entropy follow, and a group is decoded at the
 row where it first occurs.
 
+The entropy takes no sort.  A model's group masses are nearly all
+distinct, so each mass gives one term in one pass.  An n-gram order's group
+sizes repeat, so its caller passes each distinct size once with the number
+of groups of that size (the counts of counts), and each such term enters the
+exact sum through exact products with its count.
+
 The module is private, so the benchmark's tracer, which wraps the public
 functions of the layer modules, counts these helpers as part of their
 callers.
@@ -15,8 +21,11 @@ callers.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+
+_SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant for 53-bit floats
 
 
 def roll(inverse, n_groups, radix, column):
@@ -39,15 +48,42 @@ def roll(inverse, n_groups, radix, column):
     return inverse, counts
 
 
-def plugin_entropy(masses):
-    """-sum p log2 p (bits) over the float64 ``masses``; zeros add nothing."""
-    # equal masses give equal terms: compute each once, and let the exact,
-    # order-free fsum add it as many times as it occurs.  math.log2, not
-    # np.log2, whose last bit can differ; the float64 product is Python's
-    values, repeats = np.unique(masses[masses > 0.0], return_counts=True)
-    logs = np.fromiter(map(math.log2, values.tolist()), np.float64, len(values))
+def plugin_entropy(masses, repeats=None):
+    """-sum k p log2 p (bits) over the float64 ``masses`` p; zeros add nothing.
+
+    ``repeats`` gives k, the number of groups with each mass, and is 1 for
+    every mass when omitted.  Each term p log2 p is computed once, with
+    ``math.log2``, not ``np.log2``, whose last bit depends on the CPU's SIMD
+    kernels.  A repeated term enters the sum as the four exact products of
+    its Veltkamp halves with those of k (Dekker 1971), and ``math.fsum``
+    returns the correctly rounded sum of all addends whatever their order.
+    So the result is the same float whether equal masses come once with
+    their count or one by one, and a sum of n-gram counts has one term per
+    distinct count, not per block.
+    """
+    keep = masses > 0.0
+    values = masses[keep].tolist()
+    terms = map(operator.mul, values, map(math.log2, values))
+    if repeats is not None:
+        term_hi, term_lo = _halves(np.fromiter(terms, np.float64, len(values)))
+        count_hi, count_lo = _halves(repeats[keep].astype(np.float64))
+        terms = np.concatenate((term_hi * count_hi, term_hi * count_lo,
+                                term_lo * count_hi, term_lo * count_lo)).tolist()
     # 0.0 - x, not -x: the same bits for a nonzero sum, and +0.0 for zero
-    return 0.0 - math.fsum((values * logs).repeat(repeats).tolist())
+    return 0.0 - math.fsum(terms)
+
+
+def _halves(x):
+    """Veltkamp's split: x == hi + lo exactly, each with at most 26 bits.
+
+    The product of two such halves has at most 52 bits, so float64 holds it
+    exactly; + - * are correctly rounded under every SIMD dispatch.  The
+    products stay exact while no half underflows, which holds for every
+    term of a mass above 2**-900 and for every integer count below 2**53.
+    """
+    scaled = _SPLITTER * x
+    hi = scaled - (scaled - x)
+    return hi, x - hi
 
 
 def first_rows(inverse, n_groups):

@@ -52,6 +52,10 @@ class CostOverflow(OrdlabError):
     code = "cost_overflow"
 
 
+class ResultTooLarge(OrdlabError):
+    code = "result_too_large"
+
+
 class UnsupportedSource(OrdlabError):
     code = "unsupported_source"
 

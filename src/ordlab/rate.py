@@ -151,8 +151,12 @@ def block_entropy(table, order):
     total = table.total_positions[order]
     if total == 0:
         raise InsufficientData(f"no windows of order {order}")
-    # below 2**53 the float64 quotient equals Python's c / total
-    return plugin_entropy(table._grouping(order)[1] / total)
+    # blocks seen equally often have equal terms: each distinct count c
+    # enters once, with the number of blocks seen c times.  Below 2**53 the
+    # float64 quotient equals Python's c / total
+    blocks_per_count = np.bincount(table._grouping(order)[1])
+    counts = np.flatnonzero(blocks_per_count)
+    return plugin_entropy(counts / total, blocks_per_count[counts])
 
 
 def conditional_entropy_profile(table, coverage_cap=0.2):

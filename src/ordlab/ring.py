@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from ._rng import substream
-from .errors import DegenerateRow, UnsupportedSource
+from .errors import DegenerateRow, ResultTooLarge, UnsupportedSource
 
 
 class WordOrder(enum.Enum):
@@ -162,16 +162,16 @@ class RingKernel:
 
     def decay(self, distance):
         # math, not numpy: np.exp's last bit depends on the CPU's SIMD kernels
-        if self.decay_kind == "exponential":
-            try:
+        try:
+            if self.decay_kind == "exponential":
                 return math.exp(-self.decay_param * distance)
-            except OverflowError:
-                return math.inf
-        if self.decay_kind == "inverse_power":
-            try:
+            if self.decay_kind == "inverse_power":
                 return float(distance) ** -self.decay_param
-            except OverflowError:
-                return math.inf
+        except OverflowError:
+            # the result, or an integer exponent, is too large for a float.
+            # The exponent has the sign of -param (distance >= 1, and a power
+            # of 1 never overflows), so the weight is inf or 0.0 by that sign
+            return math.inf if self.decay_param < 0 else 0.0
         return float(self.decay_param[distance])
 
     def destination_multiplier(self, order):
@@ -241,7 +241,13 @@ def evolve(kernel, start, steps, ensemble_size, seed):
     rng = substream(seed, "ring", "evolve")
     counts = np.zeros(6, dtype=np.int64)
     counts[start_idx] = ensemble_size
-    freqs = np.zeros((steps + 1, 6))
+    try:
+        freqs = np.zeros((steps + 1, 6))
+    except (MemoryError, ValueError):  # ValueError: above numpy's largest shape
+        raise ResultTooLarge(
+            f"steps = {steps}: a trajectory of {steps + 1} x 6 frequencies "
+            "does not fit in memory"
+        ) from None
     freqs[0] = counts / ensemble_size
     for step in range(1, steps + 1):
         # row s of the draw is the multinomial(counts[s], matrix[s]) split

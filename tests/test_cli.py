@@ -141,6 +141,28 @@ class TestRing:
         assert lines[1].startswith("0,1.0,0.0")
         assert len(lines) == 5
 
+    def test_integer_beta_too_large_for_a_product_simulates_as_its_float(
+            self, runner, tmp_path):
+        outputs = []
+        for beta in (10**308, 1e308):
+            cfg = tmp_path / "kernel.json"
+            cfg.write_text(json.dumps({"decay": {"beta": beta}, "self_weight": 1}))
+            result = runner.invoke(main, ["ring", "simulate", "--config", str(cfg)])
+            assert result.exit_code == 0, result.stderr
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[-1] == "1,1.0,0.0,0.0,0.0,0.0,0.0"
+
+    def test_simulate_too_many_steps_for_memory(self, runner, tmp_path):
+        cfg = tmp_path / "kernel.json"
+        cfg.write_text(json.dumps({"steps": 10**12}))
+        result = runner.invoke(main, ["ring", "simulate", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.stderr
+        record = json.loads(result.stderr)
+        assert record["error"] == "result_too_large"
+        assert "steps = 1000000000000" in record["message"]
+
     def test_compare(self, runner):
         spec = "SOV=0.44,SVO=0.41,VSO=0.1,VOS=0.03,OVS=0.015,OSV=0.005"
         result = runner.invoke(main, ["ring", "compare", "--dist", spec])
@@ -453,6 +475,7 @@ BAD_INPUTS = {
         {"decay": {"kind": "tabulated", "weights": {"1": 1, "2": -0.1, "3": 0.1}}}
     ),
     "nan_self_weight": json.dumps({"self_weight": float("nan")}),
+    "huge_steps": json.dumps({"steps": 2**63 - 1}),
     # JSON integers too large for a float
     "huge_int_beta": json.dumps({"decay": {"beta": 10**400}}),
     "huge_int_filter": json.dumps({"filters": {"dlm": 10**400}}),
@@ -629,6 +652,7 @@ ERROR_CASES = [
     *((["ring", "simulate", "--config", f"{{{name}}}"], 1, "input_parse_error")
       for name in ("huge_int_beta", "huge_int_filter", "huge_int_self_weight",
                    "huge_int_tabulated")),
+    (["ring", "simulate", "--config", "{huge_steps}"], 1, "result_too_large"),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ordlab import ring
-from ordlab.errors import DegenerateRow, UnsupportedSource
+from ordlab.errors import DegenerateRow, ResultTooLarge, UnsupportedSource
 from ordlab.ring import WordOrder as W
 
 
@@ -197,6 +197,17 @@ class TestKernel:
             with pytest.raises(DegenerateRow, match="overflow"):
                 ring.transition_matrix(kernel)
 
+    @pytest.mark.parametrize("kind", ["exponential", "inverse_power"])
+    @pytest.mark.parametrize("beta", [10**308, -10**308, 2000, -2000])
+    def test_integer_parameter_decays_as_its_float(self, kind, beta):
+        # -beta * d of an integer beta can be an integer too large for a
+        # float, which math.exp rejects with OverflowError on either side
+        as_int = ring.RingKernel(decay_kind=kind, decay_param=beta)
+        as_float = ring.RingKernel(decay_kind=kind, decay_param=float(beta))
+        for d in (1, 2, 3):
+            assert as_int.decay(d) == as_float.decay(d)
+        assert as_int.decay(3) == (0.0 if beta > 0 else math.inf)
+
     @pytest.mark.parametrize("kernel", [
         ring.RingKernel(decay_param=0.3, filters={"dlm": 0.0, "agent_first": 4.0}),
         ring.RingKernel(decay_kind="tabulated", decay_param={1: 0.0, 2: 1.0, 3: 0.0},
@@ -237,6 +248,11 @@ class TestEvolve:
         for j in range(6):
             sigma = math.sqrt(max(exact[j] * (1 - exact[j]), 1e-12) / n)
             assert abs(traj.frequencies[steps][j] - exact[j]) <= 4 * sigma + 1e-9
+
+    @pytest.mark.parametrize("steps", [10**12, 2**63 - 1, 2**64])
+    def test_trajectory_too_large_for_memory(self, steps):
+        with pytest.raises(ResultTooLarge, match=f"steps = {steps}"):
+            ring.evolve(ring.RingKernel(), "SOV", steps, 10, seed=0)
 
     def test_rows_sum_to_one(self):
         kernel = ring.RingKernel(decay_param=1.0)
