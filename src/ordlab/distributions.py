@@ -30,6 +30,7 @@ from .errors import (
     MassOutOfTolerance,
     NegativeProbability,
     NonStochasticRow,
+    ResultTooLarge,
     RoleOverlap,
     UnknownRole,
 )
@@ -114,8 +115,9 @@ class JointSequenceModel:
 
     ``_codes`` holds each row's alphabet index per role and ``_probs`` its
     probability, in table order, with no zero rows; ``table`` is a read-only
-    view of them.  The decoded table and the groupings of the rows are
-    memoised on first use; concurrent readers may at worst compute one twice.
+    view of them.  The decoded table, the groupings of the rows and, keyed
+    by role set, the entropies of ``infotheory.entropy`` are memoised on
+    first use; concurrent readers may at worst compute one twice.
     """
 
     roles: tuple[str, ...]
@@ -356,8 +358,133 @@ class SequenceSource:
         object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
+# a Markov walk runs this many steps per block; see _walk
+_BLOCK = 256
+
+
+def _buckets(cuts, u):
+    """Index of each uniform in ``u`` among the sorted ``cuts``, as an intp array.
+
+    The index of ``x`` is the number of cuts at or below it, which is
+    ``np.searchsorted(cuts, u, side="right")``, found in O(1) expected time
+    per uniform with a guide table (Chen & Asau 1974).  The table holds the
+    index of every ``g / size``; ``size`` is a power of two, so ``g =
+    floor(x * size)`` and ``g / size`` are exact and the table's entry is at
+    most the index of ``x``.  Correction steps then move every index that
+    still has a cut at or below ``x`` one cut on, until none has.  An index
+    moves on average fewer than ``len(cuts) / size`` (below 1/4) steps.
+    Every ``x`` must lie in [0, 1).
+    """
+    size = 1 << (4 * len(cuts)).bit_length()
+    guide = np.searchsorted(cuts, np.arange(size) / size, side="right")
+    idx = guide[(u * size).astype(np.intp)]
+    ends = np.append(cuts, np.inf)  # an index past the last cut stays put
+    pending = np.flatnonzero(ends[idx] <= u)
+    while pending.size:
+        idx[pending] += 1
+        pending = pending[ends[idx[pending]] <= u[pending]]
+    return idx
+
+
+def _walk(first, nexts, keys, symbols):
+    """``symbols`` of the states of a walk: state ``first``, then one per step.
+
+    Step ``j`` goes from state ``s`` to ``nexts[keys[j] + s]``.  Blocks of
+    ``_BLOCK`` steps are walked in parallel, every one from ``first``; then
+    each block, in order, is walked again in Python from its true start
+    until that walk meets the guessed one, after which both agree.  A chain
+    whose walks from different starts meet soon costs a few Python steps
+    per block; one whose walks never meet costs one Python step per token.
+    """
+    n = len(keys)
+    blocks = -(-n // _BLOCK)
+    full = n // _BLOCK
+    steps = np.zeros((_BLOCK, blocks), np.intp)  # step j of block b at [j, b]
+    steps[:, :full] = keys[:full * _BLOCK].reshape(full, _BLOCK).T
+    steps[:n - full * _BLOCK, full:] = keys[full * _BLOCK:, None]
+    walked = np.empty_like(steps)
+    state = np.full(blocks, first, np.intp)
+    for step, out in zip(steps, walked):
+        np.add(step, state, out=step)
+        state = nexts.take(step, out=out, mode="wrap")  # "raise" would copy out
+    path = np.empty(1 + blocks * _BLOCK, np.intp)  # path[j]: the state before step j
+    path[0] = first
+    path[1:].reshape(blocks, _BLOCK)[:] = walked.T
+    tokens = _take(symbols, path[:n + 1])
+    # the repair reads lists, which cost less per step than numpy items: 8
+    # steps first, as walks from different states mostly meet soon, then the
+    # rest of the block; walks that meet agree from then on, so a window's
+    # end tells whether they met
+    nexts, state = nexts.tolist(), first
+    for start in range(0, n, _BLOCK):
+        stop, j, width = min(start + _BLOCK, n), start, 8
+        met = state == first
+        while not met and j < stop:
+            end = min(j + width, stop)
+            # a comprehension steps faster than a for statement
+            tokens[j + 1:end + 1] = [symbols[state := nexts[key + state]]
+                                     for key in keys[j:end].tolist()]
+            met, j, width = state == path[end], end, _BLOCK
+        if met:
+            state = int(path[stop])
+    return tokens
+
+
+def _markov_tokens(source, first, u):
+    """Tokens of a Markov walk from ``first``, one step per uniform in ``u``.
+
+    Step ``k`` takes the state of ``source``'s row whose interval of the
+    row's float64 cumulative sums holds ``u[k]``, as ``searchsorted(side=
+    "right")`` would.  The partial sums stop short of the row's last state
+    with mass, so a draw past them all takes that state, also when the
+    float total ends just below 1.  The cuts of all rows are merged, so a
+    uniform's bucket among them fixes the next state from every state; a
+    table of those next states with more cells than 16 per step would cost
+    more than it saves, and the walk then bisects one row per step instead.
+    """
+    rows = source.transition
+    symbols = list(dict.fromkeys([*source.initial, *rows,
+                                  *(t for row in rows.values() for t in row)]))
+    index = {s: i for i, s in enumerate(symbols)}
+    cumulative, nexts = {}, {}
+    for state, row in rows.items():
+        probs = list(row.values())
+        last = max(i for i, q in enumerate(probs) if q > 0)
+        cumulative[index[state]] = np.cumsum(probs[:last])
+        nexts[index[state]] = [index[t] for t in row]
+    cuts = np.unique(np.concatenate(list(cumulative.values())))
+    if (len(cuts) + 1) * len(symbols) > 16 * len(u):
+        cumulative = {s: c.tolist() for s, c in cumulative.items()}
+        walk = [index[first]]
+        for x in u.tolist():
+            walk.append(nexts[walk[-1]][bisect_right(cumulative[walk[-1]], x)])
+        return _take(symbols, walk)
+    # a state without a row is never reached; it stays put, so the guessed
+    # walks of _walk have somewhere to go
+    table = np.tile(np.arange(len(symbols)), (len(cuts) + 1, 1))
+    lows = np.append(-np.inf, cuts)  # the lowest uniform of every bucket
+    for state, c in cumulative.items():
+        table[:, state] = np.array(nexts[state])[np.searchsorted(c, lows, side="right")]
+    keys = _buckets(cuts, u)
+    keys *= len(symbols)
+    return _walk(index[first], table.ravel(), keys, symbols)
+
+
+def _take(items, idx):
+    """``[items[i] for i in idx]``, by one take on an object array."""
+    return np.fromiter(items, object, len(items))[idx].tolist()
+
+
 def generate(source, length, seed=None):
-    """Emit ``length`` tokens from ``source``; pure function of (source, seed)."""
+    """Emit ``length`` tokens from ``source``; pure function of (source, seed).
+
+    The iid and Markov kinds draw one uniform per token from the source's
+    substream (a Markov chain draws its first state with ``rng.choice``):
+    an iid token is ``rng.choice(p=marginal)`` of its uniform, and a Markov
+    step takes the next state whose interval of the row's cumulative sums
+    holds it.  Time and memory are linear in ``length``; a length whose
+    tokens cannot be allocated raises ResultTooLarge.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
     if seed is None:
@@ -365,46 +492,46 @@ def generate(source, length, seed=None):
     rng = substream(seed, "generate", source.kind)
     if length == 0:
         return []
-    if source.kind == "homogeneous":
-        return [source.symbol] * length
-    if source.kind == "periodic":
-        block = source.block
-        offset = int(rng.integers(len(block)))
-        return [block[(offset + i) % len(block)] for i in range(length)]
-    if source.kind == "empirical":
-        toks = source.tokens
-        if not toks:
-            raise EmptySequence("empirical source has no tokens")
-        return [toks[i % len(toks)] for i in range(length)]
-    if source.kind == "iid":
-        symbols = list(source.marginal)
-        probs = [source.marginal[s] for s in symbols]
-        idx = rng.choice(len(symbols), size=length, p=probs)
-        return [symbols[i] for i in idx.tolist()]
-    # markov: precomputed cumulative rows + one batch of uniforms
-    states = list(source.initial)
-    p0 = [source.initial[s] for s in states]
-    out = [states[rng.choice(len(states), p=p0)]]
-    rows = {}
-    for s, row in source.transition.items():
-        probs = list(row.values())
-        last = max(i for i, q in enumerate(probs) if q > 0)
-        # partial sums short of the last state with mass: a draw past them all
-        # takes that state, also when the float total ends just below 1
-        rows[s] = (list(row), np.cumsum(probs[:last]).tolist())
-    # bisect_right on the float64 cumulative row is searchsorted(side="right")
-    for u in rng.random(length - 1).tolist():
-        nxt_states, cumulative = rows[out[-1]]
-        out.append(nxt_states[bisect_right(cumulative, u)])
-    return out
+    if source.kind == "empirical" and not source.tokens:
+        raise EmptySequence("empirical source has no tokens")
+    # every kind allocates its output, or its uniforms, in one step first; the
+    # source was checked when it was built, so a ValueError here is numpy's
+    # for a length above its largest shape
+    try:
+        if source.kind == "homogeneous":
+            return [source.symbol] * length
+        if source.kind in ("periodic", "empirical"):
+            block = source.tokens
+            if source.kind == "periodic":
+                offset = int(rng.integers(len(source.block)))
+                block = source.block[offset:] + source.block[:offset]
+            out = list(block) * -(-length // len(block))  # whole blocks, then a cut
+            del out[length:]
+            return out
+        if source.kind == "iid":
+            symbols = list(source.marginal)
+            # the cdf and uniforms of rng.choice(len(symbols), length, p=marginal)
+            cdf = np.array(list(source.marginal.values()), np.float64).cumsum()
+            cdf /= cdf[-1]
+            return _take(symbols, _buckets(cdf, rng.random(length)))
+        states = list(source.initial)
+        first = states[rng.choice(len(states), p=[source.initial[s] for s in states])]
+        return _markov_tokens(source, first, rng.random(length - 1))
+    except (MemoryError, OverflowError, ValueError):
+        raise ResultTooLarge(
+            f"length = {length}: that many tokens do not fit in memory"
+        ) from None
 
 
 def scramble(sequence, seed):
-    """Uniform random permutation of the tokens; multiset is preserved."""
+    """Uniform random permutation of the tokens; multiset is preserved.
+
+    Token ``i`` of the result is ``sequence[perm[i]]`` for ``perm =
+    rng.permutation(n)`` of the seed's substream, taken in one step.
+    """
     rng = substream(seed, "scramble")
     seq = list(sequence)
-    perm = rng.permutation(len(seq))
-    return [seq[i] for i in perm.tolist()]
+    return _take(seq, rng.permutation(len(seq)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ordlab.errors import (
     MassOutOfTolerance,
     NegativeProbability,
     NonStochasticRow,
+    ResultTooLarge,
     RoleOverlap,
     UnknownRole,
 )
@@ -167,13 +168,106 @@ def markov_sources(draw):
     )
 
 
+# lengths whose walks end one step short of, on, and one step past a block
+# boundary, and in the eighth step of a fourth block
+BLOCK_LENGTHS = [d._BLOCK + k for k in (0, 1, 2)] + [3 * d._BLOCK + 8]
+
+
+def _cycle(n):
+    return {f"c{i}": {f"c{(i + 1) % n}": 1.0} for i in range(n)}
+
+
 class TestGenerate:
-    @given(markov_sources(), st.sampled_from([0, 1, 2, 3, 50, 400]),
+    @settings(deadline=None)
+    @given(markov_sources(), st.sampled_from([0, 1, 2, 3, 50, 400, *BLOCK_LENGTHS]),
            st.integers(0, 2**32))
     def test_markov_matches_searchsorted_walk(self, source, length, seed):
         assert d.generate(source, length, seed) == reference_markov_walk(
             source, length, seed
         )
+
+    @pytest.mark.parametrize("source", [
+        # point-mass cycles: walks from different states never meet
+        d.SequenceSource("markov", initial={"c0": 1.0}, transition=_cycle(3)),
+        d.SequenceSource("markov", initial={"c1": 0.5, "c4": 0.5}, transition=_cycle(7)),
+        # sticky: walks meet about once in 500 steps
+        d.SequenceSource("markov", initial={"a": 1.0},
+                         transition={"a": {"a": 0.999, "b": 0.001},
+                                     "b": {"a": 0.001, "b": 0.999}}),
+        # "z" and "q" have no row and are never reached; rows list their
+        # states in different orders
+        d.SequenceSource("markov", initial={"z": 0.0, "a": 0.5, "b": 0.5},
+                         transition={"b": {"q": 0.0, "a": 0.3, "b": 0.7},
+                                     "a": {"b": 0.6, "a": 0.4, "q": 0.0}}),
+        # one state leads to a point mass, the other mixes
+        d.SequenceSource("markov", initial={"x": 1.0},
+                         transition={"x": {"y": 1.0}, "y": {"y": 0.2, "x": 0.8}}),
+    ])
+    @pytest.mark.parametrize("length", [1, 2, *BLOCK_LENGTHS, 10 * d._BLOCK + 3])
+    def test_markov_edge_chains_match_searchsorted_walk(self, source, length):
+        for seed in range(3):
+            assert d.generate(source, length, seed) == reference_markov_walk(
+                source, length, seed
+            )
+
+    def test_markov_with_many_states_matches_searchsorted_walk(self):
+        # 40 dense rows merge into a bucket table too large for a short walk,
+        # which then bisects row by row; the long walk uses the table
+        rng = np.random.default_rng(5)
+        symbols = [f"s{i}" for i in range(40)]
+        rows = rng.dirichlet(np.ones(40), size=40)
+        source = d.SequenceSource(
+            "markov", initial={"s3": 1.0},
+            transition={s: dict(zip(symbols, row.tolist()))
+                        for s, row in zip(symbols, rows)})
+        for length in (50, 5 * d._BLOCK, 4000):
+            assert d.generate(source, length, 2) == reference_markov_walk(
+                source, length, 2
+            )
+
+    @pytest.mark.parametrize("n_symbols", [1, 2, 3, 7, 40, 255, 256, 257, 600])
+    @pytest.mark.parametrize("zeros", ["none", "first", "inside", "last", "all three"])
+    def test_iid_matches_rng_choice(self, n_symbols, zeros):
+        rng = np.random.default_rng(n_symbols)
+        weights = rng.random(n_symbols) ** 3
+        spots = {"none": [], "first": [0], "inside": [n_symbols // 2],
+                 "last": [n_symbols - 1], "all three": [0, n_symbols // 2, n_symbols - 1]}
+        weights[spots[zeros]] = 0.0
+        if not weights.any():
+            weights[n_symbols // 2 if n_symbols > 2 else -1] = 1.0
+        probs = (weights / weights.sum()).tolist()
+        marginal = {f"w{i}": p for i, p in enumerate(probs)}
+        source = d.SequenceSource("iid", marginal=marginal)
+        for length in (0, 1, 2, 3000):
+            choice = substream(9, "generate", "iid").choice(
+                n_symbols, size=length, p=probs) if length else []
+            expected = [f"w{i}" for i in np.asarray(choice).tolist()]
+            assert d.generate(source, length, 9) == expected
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("iid", {"marginal": {"a": 0.5, "b": 0.5}}),
+        ("markov", {"initial": {"a": 1.0}, "transition": {"a": {"a": 0.5, "b": 0.5},
+                                                          "b": {"a": 1.0}}}),
+        ("periodic", {"block": ("a", "b", "c")}),
+        ("homogeneous", {"symbol": "a"}),
+        ("empirical", {"tokens": ("x", "y")}),
+    ])
+    @pytest.mark.parametrize("length", [10**13, 2**63 - 1, 2**64])
+    def test_length_too_large(self, kind, fields, length):
+        # each length is refused at its first allocation, which is the output
+        # or the uniforms, before anything is written
+        source = d.SequenceSource(kind, **fields)
+        with pytest.raises(ResultTooLarge, match=f"length = {length}:"):
+            d.generate(source, length)
+
+    def test_periodic_and_empirical_repeat_whole_blocks_then_cut(self):
+        src = d.SequenceSource(kind="periodic", block=("a", "b", "c", "d"))
+        for length in range(1, 13):
+            seq = d.generate(src, length, 2)
+            offset = "abcd".index(seq[0])
+            assert seq == ["abcd"[(offset + i) % 4] for i in range(length)]
+        src = d.SequenceSource(kind="empirical", tokens=("x", "y", "z"))
+        assert d.generate(src, 7) == ["x", "y", "z", "x", "y", "z", "x"]
 
     def test_homogeneous(self):
         src = d.SequenceSource(kind="homogeneous", symbol="a")
@@ -247,7 +341,51 @@ class TestGenerate:
         assert d.generate(src, 3) == ["a", "c", "c"]
 
 
+class TestBuckets:
+    @pytest.mark.parametrize("cuts", [
+        [],
+        [0.0],
+        [0.0, 0.0, 0.5],
+        [0.25, 0.25, 0.25],
+        [0.1, 0.2, 0.2, 0.7, 0.9999999999999999],
+        [0.5, 1.0, 1.0],
+        np.cumsum(np.arange(1, 301) ** -1.1 / np.sum(np.arange(1, 301) ** -1.1)).tolist(),
+        sorted(np.random.default_rng(1).random(1000).tolist()),
+    ])
+    def test_matches_searchsorted(self, cuts):
+        cuts = np.array(cuts, np.float64)
+        rng = np.random.default_rng(len(cuts))
+        # zero, every cut and its neighbours, and uniforms
+        u = np.concatenate([[0.0], cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
+                            [np.nextafter(1.0, 0.0)], rng.random(5000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(d._buckets(cuts, u), np.searchsorted(cuts, u, side="right"))
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.125, 0.3, 0.5, 0.75]) | st.floats(0.0, 1.0),
+                    max_size=40),
+           st.lists(st.sampled_from([0.0, 0.125, 0.3, 0.5, 0.75]) | st.floats(0.0, 0.99),
+                    max_size=40))
+    def test_matches_searchsorted_on_any_cuts(self, cuts, u):
+        cuts, u = np.sort(np.array(cuts, np.float64)), np.array(u, np.float64)
+        assert np.array_equal(d._buckets(cuts, u), np.searchsorted(cuts, u, side="right"))
+
+
 class TestScramble:
+    @pytest.mark.parametrize("tokens", [
+        [],
+        ["a"],
+        list("abcdefghij" * 31),
+        [(i % 5, "x") for i in range(300)],
+        [("a", "b"), ("a",), (), ("a", "b")],
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_matches_the_permutation(self, tokens, seed):
+        perm = substream(seed, "scramble").permutation(len(tokens)).tolist()
+        out = d.scramble(tokens, seed)
+        assert out == [tokens[i] for i in perm]
+        assert all(a is tokens[i] for a, i in zip(out, perm))
+
     def test_identical_tokens(self):
         assert d.scramble(["a", "a", "a"], seed=11) == ["a", "a", "a"]
 

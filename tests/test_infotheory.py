@@ -6,7 +6,12 @@ import pytest
 from conftest import random_joint_model
 from ordlab import distributions as d
 from ordlab import infotheory as it
-from ordlab.errors import NonMonotoneTransducer, NotAPermutation, RoleOverlap
+from ordlab.errors import (
+    NonMonotoneTransducer,
+    NotAPermutation,
+    RoleOverlap,
+    UnknownRole,
+)
 
 
 def brute_force_conditional_entropy(model, target, context):
@@ -55,6 +60,27 @@ class TestEntropy:
     def test_dyadic_three_symbols(self):
         m = d.make_iid({"a": 0.5, "b": 0.25, "c": 0.25}, 1)
         assert it.entropy(m, ("x1",)) == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_order_of_a_role_set_gives_the_same_bits(self, seed):
+        model = random_joint_model(seed)
+        for k in range(len(model.roles) + 1):
+            for subset in itertools.combinations(model.roles, k):
+                # grouping memoises by role order, so each order is computed anew
+                bits = {model.grouping(p).entropy.hex()
+                        for p in itertools.permutations(subset)}
+                assert len(bits) == 1
+                for order in itertools.permutations(subset):
+                    assert it.entropy(model, order).hex() in bits
+
+    def test_a_memo_hit_still_checks_roles(self):
+        model = random_joint_model(1)
+        h = it.entropy(model, ("y", "x1"))
+        assert it.entropy(model, iter(("x1", "y"))) == h
+        assert it.entropy(model, ("x1", "y", "x1")) == h
+        for roles in (("x1", "nope"), ("y", "x1", "nope"), ("nope",)):
+            with pytest.raises(UnknownRole):
+                it.entropy(model, roles)
 
 
 class TestConditionalEntropy:
