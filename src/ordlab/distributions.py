@@ -386,15 +386,13 @@ def _buckets(cuts, u):
     return idx
 
 
-def _walk(first, nexts, keys, symbols):
-    """``symbols`` of the states of a walk: state ``first``, then one per step.
+def _guessed_path(first, nexts, keys):
+    """``path[j]``, the state before step ``j``, of walks in blocks from ``first``.
 
     Step ``j`` goes from state ``s`` to ``nexts[keys[j] + s]``.  Blocks of
-    ``_BLOCK`` steps are walked in parallel, every one from ``first``; then
-    each block, in order, is walked again in Python from its true start
-    until that walk meets the guessed one, after which both agree.  A chain
-    whose walks from different starts meet soon costs a few Python steps
-    per block; one whose walks never meet costs one Python step per token.
+    ``_BLOCK`` steps are walked in parallel, one numpy step for all blocks
+    at a time, every one from ``first``; only the first block starts where
+    the walk does.
     """
     n = len(keys)
     blocks = -(-n // _BLOCK)
@@ -407,15 +405,29 @@ def _walk(first, nexts, keys, symbols):
     for step, out in zip(steps, walked):
         np.add(step, state, out=step)
         state = nexts.take(step, out=out, mode="wrap")  # "raise" would copy out
-    path = np.empty(1 + blocks * _BLOCK, np.intp)  # path[j]: the state before step j
+    path = np.empty(1 + blocks * _BLOCK, np.intp)
     path[0] = first
     path[1:].reshape(blocks, _BLOCK)[:] = walked.T
-    tokens = _take(symbols, path[:n + 1])
+    return path[:n + 1]
+
+
+def _walk(first, nexts, keys, symbols):
+    """``symbols`` of the states of a walk: state ``first``, then one per step.
+
+    Step ``j`` goes from state ``s`` to ``nexts[keys[j] + s]``.  The walk
+    starts as the guess of ``_guessed_path``; then each block, in order, is
+    walked again in Python from its true start until that walk meets the
+    guessed one, after which both agree.  A chain whose walks from
+    different starts meet soon costs a few Python steps per block; one
+    whose walks never meet costs one Python step per token.
+    """
+    path = _guessed_path(first, nexts, keys)
+    tokens = _take(symbols, path)
     # the repair reads lists, which cost less per step than numpy items: 8
     # steps first, as walks from different states mostly meet soon, then the
     # rest of the block; walks that meet agree from then on, so a window's
     # end tells whether they met
-    nexts, state = nexts.tolist(), first
+    n, nexts, state = len(keys), nexts.tolist(), first
     for start in range(0, n, _BLOCK):
         stop, j, width = min(start + _BLOCK, n), start, 8
         met = state == first

@@ -653,7 +653,7 @@ ERROR_CASES = [
       for name in ("huge_int_beta", "huge_int_filter", "huge_int_self_weight",
                    "huge_int_tabulated")),
     (["ring", "simulate", "--config", "{huge_steps}"], 1, "result_too_large"),
-    *((["gen", "--kind", kind, *fields, "--length", "10000000000000"], 1,
+    *((["gen", "--kind", kind, *fields, "--length", "100000000000000"], 1,
        "result_too_large") for kind, fields in (
         ("iid", ["--marginal", "a:0.5,b:0.5"]),
         ("markov", ["--initial", "a:1", "--transition", "a>a:0.5,a>b:0.5;b>a:1"]),
