@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -116,8 +117,8 @@ class JointSequenceModel:
     ``_codes`` holds each row's alphabet index per role and ``_probs`` its
     probability, in table order, with no zero rows; ``table`` is a read-only
     view of them.  The decoded table, the groupings of the rows and, keyed
-    by role set, the entropies of ``infotheory.entropy`` are memoised on
-    first use; concurrent readers may at worst compute one twice.
+    by role set, their entropies are memoised on first use; concurrent
+    readers may at worst compute one twice.
     """
 
     roles: tuple[str, ...]
@@ -156,6 +157,21 @@ class JointSequenceModel:
         below K times an alphabet size however many roles there are.
         """
         return self._grouping(tuple(self.role_index(r) for r in roles))
+
+    def entropy(self, roles):
+        """Plug-in entropy (bits) of the grouping by ``roles``, memoised by their set.
+
+        An entropy depends only on the set of its roles, and its bits are the
+        same for every order of them: each group's mass is summed in row
+        order whatever the order of the roles, and the entropy's sum is
+        exact.  An unknown role raises before anything is memoised.
+        """
+        roles = tuple(roles)
+        key = frozenset(roles)
+        h = self._memo.get(key)
+        if h is None:
+            h = self._memo[key] = self.grouping(roles).entropy
+        return h
 
     def _grouping(self, idx):
         group = self._memo.get(idx)
@@ -450,27 +466,36 @@ def _markov_tokens(source, first, u):
     "right")`` would.  The partial sums stop short of the row's last state
     with mass, so a draw past them all takes that state, also when the
     float total ends just below 1.  The cuts of all rows are merged, so a
-    uniform's bucket among them fixes the next state from every state; a
-    table of those next states with more cells than 16 per step would cost
-    more than it saves, and the walk then bisects one row per step instead.
+    uniform's bucket among them fixes the next state from every state, and
+    a table of those next states drives the blocked walk of ``_walk``.  A
+    short walk, or one on a chain with many dense states, bisects one row
+    per step instead; see the comment at the choice.
     """
     rows = source.transition
-    symbols = list(dict.fromkeys([*source.initial, *rows,
-                                  *(t for row in rows.values() for t in row)]))
-    index = {s: i for i, s in enumerate(symbols)}
-    cumulative, nexts = {}, {}
+    cumulative = {}
     for state, row in rows.items():
         probs = list(row.values())
         last = max(i for i, q in enumerate(probs) if q > 0)
-        cumulative[index[state]] = np.cumsum(probs[:last])
-        nexts[index[state]] = [index[t] for t in row]
-    cuts = np.unique(np.concatenate(list(cumulative.values())))
-    if (len(cuts) + 1) * len(symbols) > 16 * len(u):
-        cumulative = {s: c.tolist() for s, c in cumulative.items()}
-        walk = [index[first]]
+        cumulative[state] = np.cumsum(probs[:last])
+    # timed on dense chains of 3 to 96 states and 1e3 to 2e5 steps: a table
+    # cell costs about 1/8 of a bisect step to fill, and the block walk's
+    # _BLOCK numpy steps about 8 * _BLOCK bisect steps, so below this length
+    # bisecting is faster; the table then also stays below 8 cells per step
+    cuts = symbols = ()
+    if len(u) >= 8 * _BLOCK:
+        cuts = np.unique(np.concatenate(list(cumulative.values())))
+        symbols = list(dict.fromkeys([*source.initial, *rows,
+                                      *(t for row in rows.values() for t in row)]))
+    if len(u) < 8 * _BLOCK + (len(cuts) + 1) * len(symbols) / 8:
+        rows = {s: (list(row), cumulative[s].tolist()) for s, row in rows.items()}
+        out = [first]
         for x in u.tolist():
-            walk.append(nexts[walk[-1]][bisect_right(cumulative[walk[-1]], x)])
-        return _take(symbols, walk)
+            nexts, cumulative = rows[out[-1]]
+            out.append(nexts[bisect_right(cumulative, x)])
+        return out
+    index = {s: i for i, s in enumerate(symbols)}
+    cumulative = {index[s]: c for s, c in cumulative.items()}
+    nexts = {index[s]: [index[t] for t in row] for s, row in rows.items()}
     # a state without a row is never reached; it stays put, so the guessed
     # walks of _walk have somewhere to go
     table = np.tile(np.arange(len(symbols)), (len(cuts) + 1, 1))
@@ -485,6 +510,21 @@ def _markov_tokens(source, first, u):
 def _take(items, idx):
     """``[items[i] for i in idx]``, by one take on an object array."""
     return np.fromiter(items, object, len(items))[idx].tolist()
+
+
+@contextmanager
+def _allocating(length):
+    """Map a failure to allocate ``length`` tokens, or their uniforms, to ResultTooLarge.
+
+    Numpy raises ValueError for a length above its largest shape, and a list
+    OverflowError for one above the largest index.
+    """
+    try:
+        yield
+    except (MemoryError, OverflowError, ValueError):
+        raise ResultTooLarge(
+            f"length = {length}: that many tokens do not fit in memory"
+        ) from None
 
 
 def generate(source, length, seed=None):
@@ -506,33 +546,31 @@ def generate(source, length, seed=None):
         return []
     if source.kind == "empirical" and not source.tokens:
         raise EmptySequence("empirical source has no tokens")
-    # every kind allocates its output, or its uniforms, in one step first; the
-    # source was checked when it was built, so a ValueError here is numpy's
-    # for a length above its largest shape
-    try:
-        if source.kind == "homogeneous":
+    if source.kind == "homogeneous":
+        with _allocating(length):
             return [source.symbol] * length
-        if source.kind in ("periodic", "empirical"):
-            block = source.tokens
-            if source.kind == "periodic":
-                offset = int(rng.integers(len(source.block)))
-                block = source.block[offset:] + source.block[:offset]
+    if source.kind in ("periodic", "empirical"):
+        block = source.tokens
+        if source.kind == "periodic":
+            offset = int(rng.integers(len(source.block)))
+            block = source.block[offset:] + source.block[:offset]
+        with _allocating(length):
             out = list(block) * -(-length // len(block))  # whole blocks, then a cut
-            del out[length:]
-            return out
-        if source.kind == "iid":
-            symbols = list(source.marginal)
-            # the cdf and uniforms of rng.choice(len(symbols), length, p=marginal)
-            cdf = np.array(list(source.marginal.values()), np.float64).cumsum()
-            cdf /= cdf[-1]
-            return _take(symbols, _buckets(cdf, rng.random(length)))
-        states = list(source.initial)
-        first = states[rng.choice(len(states), p=[source.initial[s] for s in states])]
-        return _markov_tokens(source, first, rng.random(length - 1))
-    except (MemoryError, OverflowError, ValueError):
-        raise ResultTooLarge(
-            f"length = {length}: that many tokens do not fit in memory"
-        ) from None
+        del out[length:]
+        return out
+    if source.kind == "iid":
+        symbols = list(source.marginal)
+        # the cdf and uniforms of rng.choice(len(symbols), length, p=marginal)
+        cdf = np.array(list(source.marginal.values()), np.float64).cumsum()
+        cdf /= cdf[-1]
+        with _allocating(length):
+            u = rng.random(length)
+        return _take(symbols, _buckets(cdf, u))
+    states = list(source.initial)
+    first = states[rng.choice(len(states), p=[source.initial[s] for s in states])]
+    with _allocating(length):
+        u = rng.random(length - 1)
+    return _markov_tokens(source, first, u)
 
 
 def scramble(sequence, seed):

@@ -2,11 +2,10 @@
 
 All quantities are computed in bits (log base 2) from exact marginals of a
 :class:`~ordlab.distributions.JointSequenceModel`; an entropy is the one the
-model computed when it grouped its table by the entropy's roles.  An
-entropy depends only on the set of its roles, and its bits are the same for
-every order of them: each group's mass is summed in row order whatever the
-order of the roles, and the entropy's sum is exact.  So the model memoises
-entropies by role set, and a permuted context costs one dict lookup.  The
+model computed when it grouped its table by the entropy's roles.  The model
+memoises entropies by role set (:meth:`JointSequenceModel.entropy
+<ordlab.distributions.JointSequenceModel.entropy>`), so a permuted context
+costs one dict lookup.  The
 placement machinery returns full argmin/argmax *sets* with a 1e-9 tie
 tolerance; those sets are invariant under strictly monotone cost
 transducers, which is checked rather than assumed.
@@ -35,12 +34,7 @@ def entropy(model, roles):
 
     Memoised in the model by the set of ``roles``: see the module docstring.
     """
-    roles = tuple(roles)
-    key = frozenset(roles)
-    h = model._memo.get(key)
-    if h is None:
-        h = model._memo[key] = model.grouping(roles).entropy
-    return h
+    return model.entropy(roles)
 
 
 def conditional_entropy(model, target_role, context_roles):

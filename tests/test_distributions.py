@@ -169,8 +169,9 @@ def markov_sources(draw):
 
 
 # lengths whose walks end one step short of, on, and one step past a block
-# boundary, and in the eighth step of a fourth block
-BLOCK_LENGTHS = [d._BLOCK + k for k in (0, 1, 2)] + [3 * d._BLOCK + 8]
+# boundary, and in the eighth step of a later block, all long enough that a
+# chain of up to 16 dense states walks the bucket table in blocks
+BLOCK_LENGTHS = [16 * d._BLOCK + k for k in (0, 1, 2)] + [19 * d._BLOCK + 8]
 
 
 def _cycle(n):
@@ -203,16 +204,24 @@ class TestGenerate:
         d.SequenceSource("markov", initial={"x": 1.0},
                          transition={"x": {"y": 1.0}, "y": {"y": 0.2, "x": 0.8}}),
     ])
-    @pytest.mark.parametrize("length", [1, 2, *BLOCK_LENGTHS, 10 * d._BLOCK + 3])
+    @pytest.mark.parametrize("length", [1, 2, 400, *BLOCK_LENGTHS, 40 * d._BLOCK + 3])
     def test_markov_edge_chains_match_searchsorted_walk(self, source, length):
         for seed in range(3):
             assert d.generate(source, length, seed) == reference_markov_walk(
                 source, length, seed
             )
 
-    def test_markov_with_many_states_matches_searchsorted_walk(self):
-        # 40 dense rows merge into a bucket table too large for a short walk,
-        # which then bisects row by row; the long walk uses the table
+    def test_markov_with_many_states_matches_searchsorted_walk(self, monkeypatch):
+        # 40 dense rows merge into a bucket table of about 62000 cells, too
+        # large for the shorter walks, which bisect row by row; the longest
+        # walk uses the table
+        walks, walk = [], d._walk
+
+        def spy(first, nexts, keys, symbols):
+            walks.append(len(keys))
+            return walk(first, nexts, keys, symbols)
+
+        monkeypatch.setattr(d, "_walk", spy)
         rng = np.random.default_rng(5)
         symbols = [f"s{i}" for i in range(40)]
         rows = rng.dirichlet(np.ones(40), size=40)
@@ -220,10 +229,11 @@ class TestGenerate:
             "markov", initial={"s3": 1.0},
             transition={s: dict(zip(symbols, row.tolist()))
                         for s, row in zip(symbols, rows)})
-        for length in (50, 5 * d._BLOCK, 4000):
+        for length in (50, 4000, 12000):
             assert d.generate(source, length, 2) == reference_markov_walk(
                 source, length, 2
             )
+        assert walks == [12000 - 1]
 
     @pytest.mark.parametrize("n_symbols", [1, 2, 3, 7, 40, 255, 256, 257, 600])
     @pytest.mark.parametrize("zeros", ["none", "first", "inside", "last", "all three"])
