@@ -487,11 +487,11 @@ def _markov_tokens(source, first, u):
         symbols = list(dict.fromkeys([*source.initial, *rows,
                                       *(t for row in rows.values() for t in row)]))
     if len(u) < 8 * _BLOCK + (len(cuts) + 1) * len(symbols) / 8:
-        rows = {s: (list(row), cumulative[s].tolist()) for s, row in rows.items()}
+        steps = {s: (list(row), cumulative[s].tolist()) for s, row in rows.items()}
         out = [first]
         for x in u.tolist():
-            nexts, cumulative = rows[out[-1]]
-            out.append(nexts[bisect_right(cumulative, x)])
+            nexts, row_cuts = steps[out[-1]]
+            out.append(nexts[bisect_right(row_cuts, x)])
         return out
     index = {s: i for i, s in enumerate(symbols)}
     cumulative = {index[s]: c for s, c in cumulative.items()}

@@ -5,10 +5,9 @@ All quantities are computed in bits (log base 2) from exact marginals of a
 model computed when it grouped its table by the entropy's roles.  The model
 memoises entropies by role set (:meth:`JointSequenceModel.entropy
 <ordlab.distributions.JointSequenceModel.entropy>`), so a permuted context
-costs one dict lookup.  The
-placement machinery returns full argmin/argmax *sets* with a 1e-9 tie
-tolerance; those sets are invariant under strictly monotone cost
-transducers, which is checked rather than assumed.
+costs one dict lookup.  The placement machinery returns full argmin/argmax
+*sets* with a 1e-9 tie tolerance; those sets are invariant under strictly
+monotone cost transducers, which is checked rather than assumed.
 """
 
 from __future__ import annotations
