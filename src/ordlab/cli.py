@@ -466,7 +466,9 @@ def coding_cmd(input_path, allow_full_reduction):
         types = [r["type"] for r in rows]
         contexts = [tuple(r[c] for c in context_cols) for r in rows]
         given = [int(r["length"]) for r in rows] if has_length else None
-    except (KeyError, ValueError) as exc:
+        for length in given or ():
+            float(length)  # the mean lengths multiply it by a float
+    except (KeyError, ValueError, OverflowError) as exc:
         raise InputParseError(f"bad coding table: {exc}") from None
     data, summary = coding.report(types, probs, contexts, given, allow_full_reduction)
     header = ("context", "type", "probability", "length", "ideal_length")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deplen
-from .infotheory import TIE_TOLERANCE, uncertainty_profile
+from .infotheory import TIE_TOLERANCE, _optimum_set, uncertainty_profile
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ def weighted_optimum(report, lam):
     dep_hat = _minmax(report.dep_costs)
     unc_hat = _minmax(report.uncertainties)
     scores = [lam * d + (1.0 - lam) * u for d, u in zip(dep_hat, unc_hat)]
-    best = min(scores)
-    return frozenset(
-        p for p, s in zip(report.positions(), scores) if s <= best + TIE_TOLERANCE
-    )
+    return _optimum_set(scores, maximize=False, start=1)
 
 
 @dataclass(frozen=True)
@@ -93,15 +90,9 @@ class AsymmetryVerdict:
 def asymmetry_check(model, context_order, target=None):
     report = conflict_report(model, context_order, target)
     worst_dep = max(report.dep_costs)
-    extreme_worst = (
-        report.dep_costs[0] == worst_dep and report.dep_costs[-1] == worst_dep
-    )
-    spread = max(report.uncertainties) - min(report.uncertainties)
-    if spread <= TIE_TOLERANCE:
+    extreme_worst = report.dep_costs[0] == worst_dep == report.dep_costs[-1]
+    if max(report.uncertainties) - min(report.uncertainties) <= TIE_TOLERANCE:
         return AsymmetryVerdict(extreme_worst, None)
     _, centers = deplen.min_dependency_sum(report.m)
-    worst_unc = max(report.uncertainties)
-    center_worst = all(
-        report.uncertainties[p - 1] >= worst_unc - TIE_TOLERANCE for p in centers
-    )
-    return AsymmetryVerdict(extreme_worst, center_worst)
+    worst_unc = _optimum_set(report.uncertainties, maximize=True, start=1)
+    return AsymmetryVerdict(extreme_worst, centers <= worst_unc)

@@ -15,7 +15,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CostOverflow, NonMonotoneTransducer, PositionOutOfRange
+from .errors import (CostOverflow, NonMonotoneTransducer, PositionOutOfRange,
+                     allocating)
 from .infotheory import IDENTITY
 
 
@@ -120,11 +121,14 @@ def landscape(m, transducer=IDENTITY):
     once per distance, g(1) .. g(m - 1), in that order.  Integer edge costs
     give exact integer costs from prefix sums; float costs are summed in
     position order, one vectorised sweep per position d, so every cost has
-    the same bits as the left-to-right fold.  Edge costs that are not all
-    integers are summed as floats.
+    the same bits as the left-to-right fold (mixed edge costs count as
+    floats).  The m - 1 edge costs are allocated in one step, so an m too
+    large for memory raises ResultTooLarge at once instead of growing.
     """
     _check_args(m, transducer)
-    values = [transducer(x) for x in range(1, m)]
+    with allocating(f"m = {m}: {m - 1} edge costs do not fit in memory"):
+        values = [None] * (m - 1)
+    values[:] = map(transducer, range(1, m))
     if all(type(v) is int for v in values):
         prefix = list(itertools.accumulate(values, initial=0))
         costs = tuple(prefix[p - 1] + prefix[m - p] for p in range(1, m + 1))

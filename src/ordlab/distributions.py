@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -31,9 +30,9 @@ from .errors import (
     MassOutOfTolerance,
     NegativeProbability,
     NonStochasticRow,
-    ResultTooLarge,
     RoleOverlap,
     UnknownRole,
+    allocating,
 )
 
 MASS_TOLERANCE = 1e-12
@@ -512,21 +511,6 @@ def _take(items, idx):
     return np.fromiter(items, object, len(items))[idx].tolist()
 
 
-@contextmanager
-def _allocating(length):
-    """Map a failure to allocate ``length`` tokens, or their uniforms, to ResultTooLarge.
-
-    Numpy raises ValueError for a length above its largest shape, and a list
-    OverflowError for one above the largest index.
-    """
-    try:
-        yield
-    except (MemoryError, OverflowError, ValueError):
-        raise ResultTooLarge(
-            f"length = {length}: that many tokens do not fit in memory"
-        ) from None
-
-
 def generate(source, length, seed=None):
     """Emit ``length`` tokens from ``source``; pure function of (source, seed).
 
@@ -535,7 +519,8 @@ def generate(source, length, seed=None):
     an iid token is ``rng.choice(p=marginal)`` of its uniform, and a Markov
     step takes the next state whose interval of the row's cumulative sums
     holds it.  Time and memory are linear in ``length``; a length whose
-    tokens cannot be allocated raises ResultTooLarge.
+    tokens, or their uniforms, cannot be allocated raises ResultTooLarge
+    (``errors.allocating``).
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -546,15 +531,16 @@ def generate(source, length, seed=None):
         return []
     if source.kind == "empirical" and not source.tokens:
         raise EmptySequence("empirical source has no tokens")
+    too_large = f"length = {length}: that many tokens do not fit in memory"
     if source.kind == "homogeneous":
-        with _allocating(length):
+        with allocating(too_large):
             return [source.symbol] * length
     if source.kind in ("periodic", "empirical"):
         block = source.tokens
         if source.kind == "periodic":
             offset = int(rng.integers(len(source.block)))
             block = source.block[offset:] + source.block[:offset]
-        with _allocating(length):
+        with allocating(too_large):
             out = list(block) * -(-length // len(block))  # whole blocks, then a cut
         del out[length:]
         return out
@@ -563,12 +549,12 @@ def generate(source, length, seed=None):
         # the cdf and uniforms of rng.choice(len(symbols), length, p=marginal)
         cdf = np.array(list(source.marginal.values()), np.float64).cumsum()
         cdf /= cdf[-1]
-        with _allocating(length):
+        with allocating(too_large):
             u = rng.random(length)
         return _take(symbols, _buckets(cdf, u))
     states = list(source.initial)
     first = states[rng.choice(len(states), p=[source.initial[s] for s in states])]
-    with _allocating(length):
+    with allocating(too_large):
         u = rng.random(length - 1)
     return _markov_tokens(source, first, u)
 

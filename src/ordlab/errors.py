@@ -5,6 +5,8 @@ error records, so scripts can match on codes instead of messages.  Errors
 about malformed tables are also ``ValueError``s.
 """
 
+from contextlib import contextmanager
+
 
 class OrdlabError(Exception):
     """Base class for all domain errors."""
@@ -54,6 +56,19 @@ class CostOverflow(OrdlabError):
 
 class ResultTooLarge(OrdlabError):
     code = "result_too_large"
+
+
+@contextmanager
+def allocating(message):
+    """Turn a failed allocation in the block, and only that, into ResultTooLarge.
+
+    Numpy raises ValueError for a shape above its largest, and a list
+    OverflowError for a length above its largest index.
+    """
+    try:
+        yield
+    except (MemoryError, OverflowError, ValueError):
+        raise ResultTooLarge(message) from None
 
 
 class UnsupportedSource(OrdlabError):

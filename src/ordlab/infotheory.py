@@ -5,9 +5,11 @@ All quantities are computed in bits (log base 2) from exact marginals of a
 model computed when it grouped its table by the entropy's roles.  The model
 memoises entropies by role set (:meth:`JointSequenceModel.entropy
 <ordlab.distributions.JointSequenceModel.entropy>`), so a permuted context
-costs one dict lookup.  The placement machinery returns full argmin/argmax
-*sets* with a 1e-9 tie tolerance; those sets are invariant under strictly
-monotone cost transducers, which is checked rather than assumed.
+costs one dict lookup.  Predictability I(Y; C) = H(Y) - H(Y | C) is taken
+from the uncertainty values.  Placements are full argmin/argmax *sets* under
+one 1e-9 tie rule (``_optimum_set``, also used by :mod:`ordlab.conflict`);
+they are invariant under strictly monotone cost transducers, which is
+checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ def resolve_target(model, target):
     return target
 
 
-def _profile(model, context_order, target, measure, kind):
-    """measure(model, target, first i context roles) for i = 0..n."""
+def _uncertainties(model, context_order, target):
+    """H(Y | first i context roles) for i = 0..n, once the order is checked."""
     target = resolve_target(model, target)
     context_order = tuple(context_order)
     expected = set(model.roles) - {target}
@@ -142,30 +144,29 @@ def _profile(model, context_order, target, measure, kind):
             f"context order {context_order!r} is not a permutation of the "
             f"non-target roles {sorted(expected)!r}"
         )
-    values = [
-        measure(model, target, context_order[:i])
+    return [
+        conditional_entropy(model, target, context_order[:i])
         for i in range(len(context_order) + 1)
     ]
-    return EntropyProfile(values, kind)
 
 
 def uncertainty_profile(model, context_order, target=None):
     """H(Y | first i context roles) for i = 0..n."""
-    return _profile(model, context_order, target, conditional_entropy, "uncertainty")
+    return EntropyProfile(_uncertainties(model, context_order, target), "uncertainty")
 
 
 def predictability_profile(model, context_order, target=None):
-    """I(Y; first i context roles) for i = 0..n; the i = 0 entry is 0."""
-    return _profile(model, context_order, target, mutual_information, "predictability")
+    """I(Y; first i context roles) = H(Y) - H(Y | ...) for i = 0..n; I_0 = 0."""
+    h = _uncertainties(model, context_order, target)
+    return EntropyProfile([h[0] - v for v in h], "predictability")
 
 
-def _optimum_set(values, maximize):
-    best = max(values) if maximize else min(values)
-    if maximize:
-        return frozenset(
-            i for i, v in enumerate(values) if v >= best - TIE_TOLERANCE
-        )
-    return frozenset(i for i, v in enumerate(values) if v <= best + TIE_TOLERANCE)
+def _optimum_set(values, maximize, start=0):
+    """Indices (from ``start``) of the values within TIE_TOLERANCE of the best."""
+    if maximize:  # negation is exact, so -v <= -best + tol iff v >= best - tol
+        values = [-v for v in values]
+    limit = min(values) + TIE_TOLERANCE
+    return frozenset(i for i, v in enumerate(values, start) if v <= limit)
 
 
 def optimal_target_placement(model, context_order, objective, target=None):

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateProfile,
     EmptySequence,
     InsufficientData,
+    allocating,
 )
 from .infotheory import EntropyProfile, entropy
 
@@ -172,7 +173,8 @@ def conditional_entropy_profile(table, coverage_cap=0.2):
     no more blocks than the one before has the same partition: each
     (k-1)-block determines its next token, every higher order has that
     partition too, and every later value is exactly 0.0.  Counting stops
-    there, and the zeros up to ``max_order`` are emitted uncounted.
+    there, and the zeros up to ``max_order`` are emitted uncounted (or
+    ResultTooLarge raised if they cannot be allocated).
     """
     values = []
     previous = 0.0
@@ -188,8 +190,10 @@ def conditional_entropy_profile(table, coverage_cap=0.2):
         values.append(h_block - previous)
         previous = h_block
         if table.cyclic and n_blocks == blocks:
-            values += [0.0] * (table.max_order - order)
-            break
+            with allocating(f"max_order = {table.max_order}: a profile of that many "
+                            "orders does not fit in memory"):
+                values += [0.0] * (table.max_order - order)
+                return EntropyProfile(values, "rate", strict=False)
         blocks = n_blocks
     if not values:
         raise InsufficientData("sequence too short for any conditional estimate")

@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from ._rng import substream
-from .errors import DegenerateRow, ResultTooLarge, UnsupportedSource
+from .errors import DegenerateRow, UnsupportedSource, allocating
 
 
 class WordOrder(enum.Enum):
@@ -232,7 +232,8 @@ def evolve(kernel, start, steps, ensemble_size, seed):
     ``transition_matrix(kernel)``, state by state in ``ORDERS`` order (a
     state with no chains draws nothing), and the next counts are the sums
     of those draws.  A step costs the same whatever ``ensemble_size`` is,
-    and no array grows with it.
+    and no array grows with it; a trajectory too large to allocate raises
+    ResultTooLarge (``errors.allocating``).
     """
     if steps < 0 or ensemble_size < 1:
         raise ValueError("steps must be >= 0 and ensemble_size >= 1")
@@ -241,13 +242,9 @@ def evolve(kernel, start, steps, ensemble_size, seed):
     rng = substream(seed, "ring", "evolve")
     counts = np.zeros(6, dtype=np.int64)
     counts[start_idx] = ensemble_size
-    try:
+    with allocating(f"steps = {steps}: a trajectory of {steps + 1} x 6 "
+                    "frequencies does not fit in memory"):
         freqs = np.zeros((steps + 1, 6))
-    except (MemoryError, ValueError):  # ValueError: above numpy's largest shape
-        raise ResultTooLarge(
-            f"steps = {steps}: a trajectory of {steps + 1} x 6 frequencies "
-            "does not fit in memory"
-        ) from None
     freqs[0] = counts / ensemble_size
     for step in range(1, steps + 1):
         # row s of the draw is the multinomial(counts[s], matrix[s]) split

@@ -528,6 +528,11 @@ BAD_INPUTS = {
     "short_row": "type,probability,length\na,0.5,1\nb,0.5\n",
     "short_context_row": "type,probability,length,ctx1\nx,0.5,1,a\ny,0.5,1\n",
     "duplicate_rows": "type,probability,ctx1\nx,0.5,a\nx,0.25,a\ny,0.25,b\n",
+    "periodic": "a b c " * 4 + "\n",
+    # a length too large for a float, in a plain and in a context table
+    "huge_length": f"type,probability,length\na,0.5,1\nb,0.5,{10**400}\n",
+    "huge_length_contexts":
+        f"type,probability,length,ctx1\nx,0.5,1,a\ny,0.5,{10**400},b\n",
     "repeated_tuple": json.dumps({
         "roles": ["y"],
         "alphabets": {"y": ["a", "b"]},
@@ -661,6 +666,14 @@ ERROR_CASES = [
         ("homogeneous", ["--symbol", "a"]),
         ("empirical", ["--tokens-file", "{five_tokens}"]),
     )),
+    # 10**14 is refused at its first allocation on a 47-bit address space;
+    # sizes that can be mapped would grow toward the host's memory instead
+    *((["rate", command, "{periodic}", "--cyclic", "--coverage-cap", "0",
+        "--max-order", "100000000000000"], 1, "result_too_large")
+      for command in ("profile", "hilberg")),
+    (["deplen", "--m", "100000000000000"], 1, "result_too_large"),
+    *((["coding", "--input", f"{{{name}}}"], 1, "input_parse_error")
+      for name in ("huge_length", "huge_length_contexts")),
 ]
 
 

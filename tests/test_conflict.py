@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import random_joint_model
@@ -97,6 +99,16 @@ class TestWeightedOptimum:
         report = conflict.conflict_report(m, ("x2", "x3"), "x1")
         assert conflict.weighted_optimum(report, 0.0) == frozenset({1, 2, 3})
 
+    def test_tie_boundary(self):
+        # at lam = 0 the scores are the normalised uncertainties (1, TIE, 0):
+        # a score exactly TIE_TOLERANCE above the best ties, the next float not
+        tie = it.TIE_TOLERANCE
+        report = conflict.ConflictReport(3, (2.0, 1.0, 2.0), (1.0, tie, 0.0))
+        assert conflict.weighted_optimum(report, 0.0) == frozenset({2, 3})
+        beyond = math.nextafter(tie, 1.0)
+        report = conflict.ConflictReport(3, (2.0, 1.0, 2.0), (1.0, beyond, 0.0))
+        assert conflict.weighted_optimum(report, 0.0) == frozenset({3})
+
 
 class TestAsymmetry:
     def test_informative_model(self, and_model):
@@ -116,6 +128,20 @@ class TestAsymmetry:
             order = tuple(r for r in m.roles if r != "y")
             verdict = conflict.asymmetry_check(m, order)
             assert verdict.extreme_is_worst_for_dlm is True
+
+    def test_tie_boundary(self, monkeypatch, and_model):
+        # the center is worst while it lies exactly TIE_TOLERANCE below the
+        # worst uncertainty (2 * TIE - TIE is exact), and not one float lower
+        tie = it.TIE_TOLERANCE
+
+        def center_worst(center):
+            report = conflict.ConflictReport(3, (2.0, 1.0, 2.0), (2 * tie, center, 0.0))
+            monkeypatch.setattr(conflict, "conflict_report", lambda *a: report)
+            verdict = conflict.asymmetry_check(and_model, ("x1", "x2"))
+            return verdict.center_is_worst_for_uncertainty
+
+        assert center_worst(tie) is True
+        assert center_worst(math.nextafter(tie, 0.0)) is False
 
     def test_monotone_profile_makes_center_not_worst(self, and_model):
         # AND-model uncertainty strictly decreases, so the worst position is

@@ -228,6 +228,28 @@ class TestPlacement:
                 assert n in it.optimal_target_placement(m, order, objective)
 
 
+# a value exactly TIE_TOLERANCE from the best ties with it; the next float
+# beyond does not (2 * TIE and TIE are exact doubles of one another)
+TIE = it.TIE_TOLERANCE
+
+
+class TestTieBoundary:
+    @pytest.mark.parametrize("objective, values, beyond", [
+        ("uncertainty", (2 * TIE, TIE, 0.0), math.inf),
+        ("predictability", (0.0, TIE, 2 * TIE), 0.0),
+    ])
+    def test_optimal_target_placement(self, monkeypatch, and_model, objective,
+                                      values, beyond):
+        def placement(values):
+            profile = it.EntropyProfile(values, objective)
+            monkeypatch.setattr(it, f"{objective}_profile", lambda *a: profile)
+            return it.optimal_target_placement(and_model, ("x1", "x2"), objective)
+
+        assert placement(values) == frozenset({1, 2})
+        moved = (values[0], math.nextafter(values[1], beyond), values[2])
+        assert placement(moved) == frozenset({2})
+
+
 INCREASING = [
     it.IDENTITY,
     it.CostTransducer("affine", (2.0, 1.0)),
