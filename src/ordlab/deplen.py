@@ -1,19 +1,16 @@
 """Dependency-length cost landscapes for a single head with n dependents.
 
 The sequence has m positions (1-indexed); one holds the head, the other
-m - 1 hold atomic dependents.  Cost is the sum over dependents of a
-strictly increasing function of the head-dependent distance.
+m - 1 hold atomic dependents.  Cost is the exact sum over dependents of a
+strictly increasing function of the head-dependent distance, rounded once
+to a float unless every term is an int; mirror positions cost the same.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
-
-import numpy as np
 
 from .errors import (CostOverflow, NonMonotoneTransducer, PositionOutOfRange,
                      allocating)
@@ -48,21 +45,46 @@ def _check_args(m, transducer, head_pos=1):
         raise NonMonotoneTransducer("edge-cost transducer must be increasing")
 
 
-def _check_finite(m, head_pos, total):
-    if isinstance(total, float) and not math.isfinite(total):
-        raise CostOverflow(f"cost at head position {head_pos} of m={m} is {total!r}")
-    return total
+def _costs(m, values, positions):
+    """Costs S(p - 1) + S(m - p) at head positions p, S(k) = g(1) + ... + g(k).
+
+    ``values`` holds g(1), g(2), ... as far as the positions need.  A finite
+    float is an integer over a power of two, so the edge costs, as floats,
+    are scaled to one denominator and summed exactly as ints; ``int / int``
+    then rounds each cost once, correctly.
+    """
+    exact = all(type(v) is int for v in values)
+    if not exact:
+        try:
+            ratios = list(map(float.as_integer_ratio, map(float, values)))
+        except (OverflowError, ValueError):  # an inf or nan is a term of every cost
+            raise CostOverflow(f"cost at head position {positions[0]} of m={m} "
+                               f"is {sum(values)!r}") from None
+        den = max(d for _, d in ratios)
+        values = [n * (den // d) for n, d in ratios]
+    prefix = list(itertools.accumulate(values, initial=0))
+    if exact:
+        return [prefix[p - 1] + prefix[m - p] for p in positions]
+    costs = []
+    for p in positions:
+        total = prefix[p - 1] + prefix[m - p]
+        try:
+            costs.append(total / den)
+        except OverflowError:
+            raise CostOverflow(f"cost at head position {p} of m={m} is "
+                               f"{'inf' if total > 0 else '-inf'}") from None
+    return costs
 
 
 def dependency_cost(m, head_pos, transducer=IDENTITY):
-    """Sum of g(|head_pos - d|) for a strictly increasing edge-cost g.
+    """Sum of g(|head_pos - d|) over the other positions d, for an increasing g.
 
-    The terms are added left to right in position order d = 1..m (an
-    explicit fold: float ``sum()`` is compensated from CPython 3.12 on).
+    The exact sum of the m - 1 terms, rounded once to a float unless every
+    term is an int: ``landscape(m, transducer).costs[head_pos - 1]``.
     """
     _check_args(m, transducer, head_pos)
-    terms = (transducer(abs(head_pos - d)) for d in range(1, m + 1) if d != head_pos)
-    return _check_finite(m, head_pos, reduce(operator.add, terms, 0))
+    far = max(head_pos - 1, m - head_pos)
+    return _costs(m, list(map(transducer, range(1, far + 1))), (head_pos,))[0]
 
 
 def min_dependency_sum(m):
@@ -95,43 +117,20 @@ def _is_quasi_convex(costs):
     return True
 
 
-def _float_costs(m, values):
-    # mirrored edge costs h[m - 1 + j] = g(|j|), with -0.0 (an exact additive
-    # identity) at the head's own position; the slice for d adds g(|p - d|)
-    # to every row p, so each row receives its terms in position order
-    g = np.array(values, np.float64)
-    h = np.empty(2 * m - 1)
-    h[m:] = g
-    h[:m - 1] = g[::-1]
-    h[m - 1] = -0.0
-    acc = np.zeros(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d in range(1, m + 1):
-            acc += h[m - d:2 * m - d]
-    bad = np.flatnonzero(~np.isfinite(acc))
-    if bad.size:
-        _check_finite(m, int(bad[0]) + 1, float(acc[bad[0]]))
-    return tuple(acc.tolist())
-
-
 def landscape(m, transducer=IDENTITY):
     """Full per-position cost list with an exhaustive quasi-convexity check.
 
     Equals ``dependency_cost`` at every position.  The transducer is called
-    once per distance, g(1) .. g(m - 1), in that order.  Integer edge costs
-    give exact integer costs from prefix sums; float costs are summed in
-    position order, one vectorised sweep per position d, so every cost has
-    the same bits as the left-to-right fold (mixed edge costs count as
-    floats).  The m - 1 edge costs are allocated in one step, so an m too
-    large for memory raises ResultTooLarge at once instead of growing.
+    once per distance, g(1) .. g(m - 1), in that order.  Each cost is the
+    exact sum of its terms: an integer when every edge cost is an int, else
+    the exact sum of the edge costs as floats, rounded once to a float, so
+    mirror positions have equal costs, bit for bit.  The m - 1 edge costs
+    are allocated in one step, so an m too large for memory raises
+    ResultTooLarge at once instead of growing.
     """
     _check_args(m, transducer)
     with allocating(f"m = {m}: {m - 1} edge costs do not fit in memory"):
         values = [None] * (m - 1)
     values[:] = map(transducer, range(1, m))
-    if all(type(v) is int for v in values):
-        prefix = list(itertools.accumulate(values, initial=0))
-        costs = tuple(prefix[p - 1] + prefix[m - p] for p in range(1, m + 1))
-    else:
-        costs = _float_costs(m, values)
+    costs = tuple(_costs(m, values, range(1, m + 1)))
     return DependencyLandscape(m, costs, _is_quasi_convex(costs))

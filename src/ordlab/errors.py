@@ -5,8 +5,6 @@ error records, so scripts can match on codes instead of messages.  Errors
 about malformed tables are also ``ValueError``s.
 """
 
-from contextlib import contextmanager
-
 
 class OrdlabError(Exception):
     """Base class for all domain errors."""
@@ -58,17 +56,22 @@ class ResultTooLarge(OrdlabError):
     code = "result_too_large"
 
 
-@contextmanager
-def allocating(message):
+class allocating:
     """Turn a failed allocation in the block, and only that, into ResultTooLarge.
 
     Numpy raises ValueError for a shape above its largest, and a list
     OverflowError for a length above its largest index.
     """
-    try:
-        yield
-    except (MemoryError, OverflowError, ValueError):
-        raise ResultTooLarge(message) from None
+
+    def __init__(self, message):
+        self.message = message
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (MemoryError, OverflowError, ValueError)):
+            raise ResultTooLarge(self.message) from None
 
 
 class UnsupportedSource(OrdlabError):

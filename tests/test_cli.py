@@ -10,6 +10,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import ordlab
 from ordlab import distributions as d, rate
@@ -674,6 +675,8 @@ ERROR_CASES = [
     (["deplen", "--m", "100000000000000"], 1, "result_too_large"),
     *((["coding", "--input", f"{{{name}}}"], 1, "input_parse_error")
       for name in ("huge_length", "huge_length_contexts")),
+    # every edge cost 2^1..2^1023 is finite; their sum at position 1 is not
+    (["deplen", "--m", "1024", "--g", "exp:2"], 1, "cost_overflow"),
 ]
 
 
@@ -696,6 +699,45 @@ def test_error_contract(runner, tmp_path, argv, status, code):
         record = json.loads(result.stderr)
         assert set(record) == {"error", "message"}
         assert record["error"] == code
+
+
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "-0.0", "1e400", "0x10", "abc", ""]),
+)
+# m stays at most 5000 or is 10**14, which is refused at its first
+# allocation: sizes in between can grow toward the host's memory
+_DEPLEN = st.tuples(
+    st.one_of(st.integers(-3, 5000).map(str), st.just(str(10**14)), _NUMBER),
+    st.one_of(
+        st.sampled_from(["identity", "square", "cube", "exp", "exp:"]),
+        st.one_of(_NUMBER, st.floats(1.0, 1.001).map(repr),
+                  st.sampled_from(["1.0000000000000002", "1e300", "5e-324"]),
+                  ).map("exp:{}".format),
+    ),
+).map(lambda mg: ["deplen", "--m", mg[0], "--g", mg[1]])
+_ORDER = st.sampled_from(["SOV", "SVO", "VSO", "VOS", "OVS", "OSV"])
+_RING_COMPARE = st.one_of(
+    st.lists(st.tuples(st.one_of(_ORDER, st.sampled_from(["sov", "SO", ""])),
+                       _NUMBER).map("=".join), max_size=7).map(",".join),
+    # equal shares of distinct orders, the first one nudged
+    st.tuples(st.lists(_ORDER, min_size=1, max_size=6, unique=True),
+              st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3))).map(
+        lambda oe: ",".join(f"{o}={1 / len(oe[0]) + (i == 0) * oe[1]!r}"
+                            for i, o in enumerate(oe[0]))),
+).map(lambda dist: ["ring", "compare", "--dist", dist])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(argv=st.one_of(_DEPLEN, _RING_COMPARE))
+def test_fuzzed_numbers_keep_the_error_contract(argv):
+    result = CliRunner().invoke(main, argv)
+    assert isinstance(result.exception, (SystemExit, type(None)))
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.stdout + result.stderr
+    if result.exit_code == 1:
+        assert set(json.loads(result.stderr)) == {"error", "message"}
 
 
 class TestRuntimeDependencies:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import TRANSDUCERS
 from ordlab import deplen
 from ordlab.errors import CostOverflow, NonMonotoneTransducer, PositionOutOfRange
 from ordlab.infotheory import CostTransducer
@@ -79,9 +80,11 @@ class TestLandscape:
         assert land.quasi_convex
 
     def test_reflection_symmetric(self):
-        for m in range(2, 16):
-            costs = deplen.landscape(m).costs
-            assert costs == tuple(reversed(costs))
+        # mirror positions have the same exact sum, so the same bits
+        for g in TRANSDUCERS.values():
+            for m in (*range(2, 16), 64, 257):
+                costs = deplen.landscape(m, g).costs
+                assert costs == costs[::-1]
 
     def test_square_quasi_convex(self):
         assert deplen.landscape(6, SQUARE).quasi_convex

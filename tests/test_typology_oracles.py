@@ -17,44 +17,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
+from conftest import TRANSDUCERS, exp_base
 from ordlab import deplen, ring
 from ordlab.errors import CostOverflow
-from ordlab.infotheory import IDENTITY, CostTransducer
+from ordlab.infotheory import CostTransducer
 
 # ---------------------------------------------------------------------------
 # landscapes
 
 
 def reference_landscape(m, g):
-    """One left-to-right sum per head position, over d = 1..m."""
-    g = functools.lru_cache(maxsize=None)(g)  # the summation order is the point
+    """One sum per head position over d = 1..m, exact and rounded once.
+
+    ``math.fsum`` rounds the exact sum of float terms once; ``sum`` keeps
+    all-int terms exact.
+    """
+    g = functools.lru_cache(maxsize=None)(g)
     costs = []
     for p in range(1, m + 1):
-        total = 0
-        for d in range(1, m + 1):
-            if d != p:
-                total = total + g(abs(p - d))
+        terms = [g(abs(p - d)) for d in range(1, m + 1) if d != p]
+        if all(type(t) is int for t in terms):
+            total = sum(terms)
+        else:
+            try:
+                total = math.fsum(terms)
+            except OverflowError:  # only positive terms overflow here: inf
+                total = math.inf
         if isinstance(total, float) and not math.isfinite(total):
             raise CostOverflow(f"cost at head position {p} of m={m} is {total!r}")
         costs.append(total)
     return tuple(costs)
-
-
-def exp_base(base):
-    return CostTransducer("exponential", (math.log(base),))
-
-
-TRANSDUCERS = {
-    "identity": IDENTITY,
-    "square": CostTransducer("power", (2,)),
-    "exp:2": exp_base(2.0),
-    "exp:1.0001": exp_base(1.0001),
-    "exp:3.7": exp_base(3.7),
-    "power:1.5": CostTransducer("power", (1.5,)),
-    "affine": CostTransducer("affine", (0.75, -2.5)),
-    "affine_int": CostTransducer("affine", (3, -7)),
-    "tabulated": CostTransducer("tabulated", ((0.0, 2.0, 5.0), (-1.0, 0.3, 7.1))),
-}
 
 
 def outcome(fn, *args):
