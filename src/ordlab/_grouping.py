@@ -1,16 +1,18 @@
 """Grouping of integer-coded rows by a prefix of their symbols.
 
-An exact model's table and an n-gram table are both rows of integer codes,
-one column per position, and both measures the package takes from them are
-entropies of the rows grouped by their first k columns.  The groups of k
-columns roll forward from those of k - 1 columns by one code, the mass of
-each group and its plug-in entropy follow, and a group is decoded at the
-row where it first occurs.
+An exact model's table is rows of integer codes, one column per role, and
+the measures the package takes from it are entropies of the rows grouped by
+their first k columns.  The groups of k columns roll forward from those of
+k - 1 columns by one code, the mass of each group and its plug-in entropy
+follow, and a group is decoded at the row where it first occurs.  An n-gram
+table finds its blocks by sorting packed window keys instead
+(``ordlab.rate.NGramTable``), and shares the entropy and the first-row
+lookup.
 
 The entropy takes no sort.  A model's group masses are nearly all
-distinct, so each mass gives one term in one pass.  An n-gram order's group
+distinct, so each mass gives one term in one pass.  An n-gram order's block
 sizes repeat, so its caller passes each distinct size once with the number
-of groups of that size (the counts of counts), and each such term enters the
+of blocks of that size (the counts of counts), and each such term enters the
 exact sum through exact products with its count.
 
 The module is private, so the benchmark's tracer, which wraps the public
@@ -32,20 +34,18 @@ def roll(inverse, n_groups, radix, column):
     """Group rows by their group in ``inverse`` and their code in ``column``.
 
     ``inverse`` holds each row's group, below ``n_groups``, and ``column``
-    each row's code, below ``radix``.  Returns each row's new group and
-    each new group's row count.  New groups are numbered in sorted order of
-    the rolled id ``inverse * radix + column``, which stays below
-    ``n_groups * radix``: a dense count numbers them when that id range is
-    at most twice the row count, and ``np.unique`` above it.
+    each row's code, below ``radix``.  Returns each row's new group.  New
+    groups are numbered in sorted order of the rolled id
+    ``inverse * radix + column``, which stays below ``n_groups * radix``: a
+    dense count numbers them when that id range is at most twice the row
+    count, and ``np.unique`` above it.
     """
     ids = inverse * radix + column
     id_range = n_groups * radix
     if id_range <= 2 * len(ids):
-        counts = np.bincount(ids, minlength=id_range)
-        used = counts > 0
-        return (np.cumsum(used) - 1)[ids], counts[used]
-    _, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
-    return inverse, counts
+        used = np.bincount(ids, minlength=id_range) > 0
+        return (np.cumsum(used) - 1)[ids]
+    return np.unique(ids, return_inverse=True)[1]
 
 
 def plugin_entropy(masses, repeats=None):

@@ -84,7 +84,7 @@ def dependency_cost(m, head_pos, transducer=IDENTITY):
     """
     _check_args(m, transducer, head_pos)
     far = max(head_pos - 1, m - head_pos)
-    return _costs(m, list(map(transducer, range(1, far + 1))), (head_pos,))[0]
+    return _costs(m, transducer._each(range(1, far + 1)), (head_pos,))[0]
 
 
 def min_dependency_sum(m):
@@ -120,17 +120,17 @@ def _is_quasi_convex(costs):
 def landscape(m, transducer=IDENTITY):
     """Full per-position cost list with an exhaustive quasi-convexity check.
 
-    Equals ``dependency_cost`` at every position.  The transducer is called
-    once per distance, g(1) .. g(m - 1), in that order.  Each cost is the
-    exact sum of its terms: an integer when every edge cost is an int, else
-    the exact sum of the edge costs as floats, rounded once to a float, so
-    mirror positions have equal costs, bit for bit.  The m - 1 edge costs
+    Equals ``dependency_cost`` at every position.  The transducer's map is
+    applied once per distance, g(1) .. g(m - 1), in that order.  Each cost
+    is the exact sum of its terms: an integer when every edge cost is an
+    int, else the exact sum of the edge costs as floats, rounded once to a
+    float, so mirror positions have equal costs, bit for bit.  The m - 1 edge costs
     are allocated in one step, so an m too large for memory raises
     ResultTooLarge at once instead of growing.
     """
     _check_args(m, transducer)
     with allocating(f"m = {m}: {m - 1} edge costs do not fit in memory"):
         values = [None] * (m - 1)
-    values[:] = map(transducer, range(1, m))
+    values[:] = transducer._each(range(1, m))
     costs = tuple(_costs(m, values, range(1, m + 1)))
     return DependencyLandscape(m, costs, _is_quasi_convex(costs))

@@ -178,8 +178,8 @@ class JointSequenceModel:
             if idx:
                 prefix = self._grouping(idx[:-1])
                 radix = len(self.alphabets[self.roles[idx[-1]]])
-                inverse, _ = roll(prefix.inverse, len(prefix.mass), radix,
-                                  self._codes[:, idx[-1]])
+                inverse = roll(prefix.inverse, len(prefix.mass), radix,
+                               self._codes[:, idx[-1]])
             else:
                 inverse = np.zeros(len(self._probs), np.intp)
             # bincount adds the weights one by one in row order, as the

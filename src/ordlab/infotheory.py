@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     CostOverflow,
@@ -196,70 +197,92 @@ class CostTransducer:
     tabulated(knots_x, knots_y) with linear interpolation.  ``direction``
     ("increasing" or "decreasing") follows from the kind and parameters;
     parameters that give no strictly monotone map raise
-    NonMonotoneTransducer.
+    NonMonotoneTransducer.  The map is chosen once, when the transducer is
+    made, so a call runs only its own arithmetic.
     """
 
     kind: str
     params: tuple = ()
     direction: str = field(init=False)
+    _map: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
-        object.__setattr__(self, "direction", self._inferred_direction())
+        direction, apply = self._resolved()
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "_map", apply)
 
-    def _inferred_direction(self):
+    def _resolved(self):
+        """(direction, map) of the kind and parameters, validated."""
         if self.kind == "identity":
-            return "increasing"
+            return "increasing", _identity
         if self.kind == "affine":
-            a, _ = self.params
+            a, b = self.params
             if a == 0:
                 raise NonMonotoneTransducer("affine slope must be nonzero")
-            return "increasing" if a > 0 else "decreasing"
+            return "increasing" if a > 0 else "decreasing", partial(_affine, a, b)
         if self.kind == "power":
             (k,) = self.params
             if k <= 0:
                 raise NonMonotoneTransducer("power exponent must be positive")
-            return "increasing"
+            return "increasing", partial(_power, k)
         if self.kind == "exponential":
             (rate,) = self.params
             if rate == 0:
                 raise NonMonotoneTransducer("exponential rate must be nonzero")
-            return "increasing" if rate > 0 else "decreasing"
+            direction = "increasing" if rate > 0 else "decreasing"
+            return direction, partial(_exponential, rate)
         if self.kind == "tabulated":
             xs, ys = self.params
             if len(xs) != len(ys) or len(xs) < 2:
                 raise NonMonotoneTransducer("tabulated transducer needs >= 2 knots")
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise NonMonotoneTransducer("tabulated knots must be increasing in x")
+            interpolate = partial(_interpolate, xs, ys)
             if all(b > a for a, b in zip(ys, ys[1:])):
-                return "increasing"
+                return "increasing", interpolate
             if all(b < a for a, b in zip(ys, ys[1:])):
-                return "decreasing"
+                return "decreasing", interpolate
             raise NonMonotoneTransducer("tabulated knots are not strictly monotone")
         raise ValueError(f"unknown transducer kind {self.kind!r}")
 
     def __call__(self, x):
         try:
-            if self.kind == "identity":
-                return x
-            if self.kind == "affine":
-                a, b = self.params
-                return a * x + b
-            if self.kind == "power":
-                (k,) = self.params
-                return x**k
-            if self.kind == "exponential":
-                (rate,) = self.params
-                return math.exp(rate * x)
+            return self._map(x)
         except OverflowError:
             raise CostOverflow(
                 f"{self.kind}{self.params!r} at {x!r} overflows a float"
             ) from None
-        # tabulated: linear interpolation, extrapolation by the end segments
-        xs, ys = self.params
-        lo = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
-        t = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
-        return ys[lo] + t * (ys[lo + 1] - ys[lo])
+
+    def _each(self, xs):
+        """[self(x) for x in xs], without a call through ``__call__`` per x."""
+        try:
+            return list(map(self._map, xs))
+        except OverflowError:  # raise CostOverflow at the first x that overflows
+            return [self(x) for x in xs]
+
+
+def _identity(x):
+    return x
+
+
+def _power(k, x):
+    return x**k
+
+
+def _affine(a, b, x):
+    return a * x + b
+
+
+def _exponential(rate, x):
+    return math.exp(rate * x)
+
+
+def _interpolate(xs, ys, x):
+    """Linear interpolation, extrapolation by the end segments."""
+    lo = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+    t = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
+    return ys[lo] + t * (ys[lo + 1] - ys[lo])
 
 
 IDENTITY = CostTransducer("identity")

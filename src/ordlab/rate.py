@@ -2,8 +2,9 @@
 
 Estimates use the plug-in (maximum likelihood) estimator on sliding-window
 block counts: H(X_i | X_1..X_{i-1}) = H_block(i) - H_block(i-1).  Blocks
-are grouped, and their entropy taken, by the code that groups an exact
-model's table (``ordlab._grouping``).  On top of the estimated profiles sit
+are found by one sort of packed window keys per chunk of orders (see
+:class:`NGramTable`), and their entropy is taken by the code that takes an
+exact model's (``ordlab._grouping``).  On top of the estimated profiles sit
 the constant-entropy-rate check, the uniform information density
 classifier, power-law decay fitting and the peak-cost functional.
 """
@@ -18,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ._grouping import first_rows, plugin_entropy, roll
+from ._grouping import first_rows, plugin_entropy
 from .errors import (
     ArityMismatch,
     DegenerateProfile,
@@ -62,8 +63,14 @@ class NGramTable:
     """Sliding-window block counts for orders 1..max_order, counted lazily.
 
     The tokens are held as integer codes numbered in order of first
-    occurrence.  An order is counted the first time something asks for it
-    and its grouping is kept; orders nobody asks for are never counted.
+    occurrence, and code ``len(vocabulary)`` marks a position past the end
+    of a non-cyclic sequence.  Orders are counted in chunks of consecutive
+    orders: the codes of each window's next tokens in the chunk, behind the
+    rank of its block at the order before the chunk, are packed into one
+    int64 key, and the keys are sorted once.  An order's blocks are then
+    the runs of sorted keys that agree on the order's leading digits.  A
+    chunk is sorted the first time one of its orders is asked for, and only
+    the last chunk sorted is kept.
 
     ``counts`` maps order -> ``Counter`` of token tuples in order of first
     occurrence, and ``total_positions`` maps order -> number of windows.
@@ -76,12 +83,15 @@ class NGramTable:
         self.cyclic = cyclic
         self._vocabulary = vocabulary
         self._n = len(codes)
+        self._bits = len(vocabulary).bit_length()  # room for the end marker
         if cyclic:
             # append the wrap-around so every window of every order is a slice
             wrap = codes[:min(self._n, max_order) - 1]
             codes = np.concatenate([codes, wrap])
         self._codes = codes
-        self._groups = {}  # counted order -> (group id per window, group sizes)
+        # the last chunk sorted: (first order, orders, leading ranks or None,
+        # sorted keys, XOR of each two adjacent keys)
+        self._chunk = None
         self.counts = _OrderView(max_order, self._counter)
         self.total_positions = _OrderView(max_order, self._windows)
 
@@ -93,40 +103,74 @@ class NGramTable:
         start = (order - 1) % self._n
         return self._codes[start:start + windows]
 
-    def _grouping(self, order):
-        """(group id of each window, size of each group) for one order.
+    def _keys(self, first, orders, lead):
+        """Each window's key: its ``lead`` rank, then its codes at the orders."""
+        keys = np.zeros(self._n, np.int64) if lead is None else lead.copy()
+        for order in range(first, first + orders):
+            keys <<= self._bits
+            inside = self._windows(order)
+            keys[:inside] |= self._column(order, inside)
+            keys[inside:] |= len(self._vocabulary)
+        return keys
 
-        Order 1 groups by token code.  Order k rolls the groups of order
-        k - 1 forward by one token code and numbers the distinct results in
-        sorted order, so counted orders are always 1..m for some m.
+    def _chunk_of(self, order):
+        """The sorted chunk holding ``order``, sorting the chunks up to it.
+
+        The first chunk's keys lead with no rank; a later chunk's keys lead
+        with each window's block at the last order of the chunk before it.
         """
-        if self._windows(order) == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        if not self._groups:
-            # codes number the tokens by first occurrence: they are the groups
-            inverse = self._column(1, self._n)
-            self._groups[1] = inverse, np.bincount(inverse)
-        for k in range(len(self._groups) + 1, order + 1):
-            prefix, sizes = self._groups[k - 1]
-            windows = self._windows(k)
-            self._groups[k] = roll(prefix[:windows], len(sizes),
-                                   len(self._vocabulary), self._column(k, windows))
-        return self._groups[order]
+        if self._chunk is None or order < self._chunk[0]:
+            self._chunk = self._sorted_chunk(1, None)
+        while order >= self._chunk[0] + self._chunk[1]:
+            first = self._chunk[0] + self._chunk[1]
+            self._chunk = self._sorted_chunk(first, self._blocks(first - 1))
+        return self._chunk
+
+    def _sorted_chunk(self, first, lead):
+        lead_bits = 0 if lead is None else int(lead.max()).bit_length()
+        orders = min((63 - lead_bits) // self._bits, self.max_order - first + 1)
+        keys = self._keys(first, orders, lead)
+        keys.sort()
+        return first, orders, lead, keys, keys[1:] ^ keys[:-1]
+
+    def _block_ends(self, order):
+        """(key shift, sorted index of the last key of each block) of an order.
+
+        Adjacent sorted keys lie in different blocks when they differ in a
+        digit at or above the order's, so where their XOR reaches the lowest
+        bit of the order's digit.
+        """
+        first, orders, _, keys, xor = self._chunk_of(order)
+        shift = self._bits * (first + orders - 1 - order)
+        return shift, np.append(np.flatnonzero(xor >= 1 << shift), len(keys) - 1)
+
+    def _blocks(self, order):
+        """Each window's block of an order, numbered in sorted key order."""
+        shift, ends = self._block_ends(order)
+        first, orders, lead, keys, _ = self._chunk
+        return np.searchsorted(keys[ends] >> shift,
+                               self._keys(first, orders, lead) >> shift)
+
+    def _blocks_per_count(self, order):
+        """Number of the order's blocks seen c times, at index c."""
+        blocks_per_count = np.bincount(np.diff(self._block_ends(order)[1], prepend=-1))
+        # each window that runs past a non-cyclic end is a block of its own
+        blocks_per_count[1] -= self._n - self._windows(order)
+        return blocks_per_count
 
     def _counter(self, order):
-        inverse, sizes = self._grouping(order)
-        if not len(inverse):
+        windows = self._windows(order)
+        if not windows:
             return Counter()
-        if order == 1:
-            keys = [(token,) for token in self._vocabulary]
-            return Counter(dict(zip(keys, sizes.tolist())))
+        blocks = self._blocks(order)[:windows]
+        sizes = np.bincount(blocks)
         # each block is decoded at its first window, so the blocks come in
         # order of first occurrence
-        starts = first_rows(inverse, len(sizes))
+        starts = first_rows(blocks, len(sizes))[:np.count_nonzero(sizes)]
         tokens = np.fromiter(self._vocabulary, object, len(self._vocabulary))
-        columns = [tokens[self._column(k, len(inverse))[starts]].tolist()
+        columns = [tokens[self._column(k, windows)[starts]].tolist()
                    for k in range(1, order + 1)]
-        return Counter(dict(zip(zip(*columns), sizes[inverse[starts]].tolist())))
+        return Counter(dict(zip(zip(*columns), sizes[blocks[starts]].tolist())))
 
 
 def ngram_counts(sequence, max_order, cyclic=False):
@@ -152,10 +196,13 @@ def block_entropy(table, order):
     total = table.total_positions[order]
     if total == 0:
         raise InsufficientData(f"no windows of order {order}")
+    return _plugin_entropy(table._blocks_per_count(order), total)
+
+
+def _plugin_entropy(blocks_per_count, total):
     # blocks seen equally often have equal terms: each distinct count c
     # enters once, with the number of blocks seen c times.  Below 2**53 the
     # float64 quotient equals Python's c / total
-    blocks_per_count = np.bincount(table._grouping(order)[1])
     counts = np.flatnonzero(blocks_per_count)
     return plugin_entropy(counts / total, blocks_per_count[counts])
 
@@ -183,10 +230,11 @@ def conditional_entropy_profile(table, coverage_cap=0.2):
         total = table.total_positions[order]
         if not total:
             break
-        n_blocks = len(table._grouping(order)[1])
+        blocks_per_count = table._blocks_per_count(order)
+        n_blocks = int(blocks_per_count.sum())
         if coverage_cap is not None and order > 1 and n_blocks > coverage_cap * total:
             break
-        h_block = block_entropy(table, order)
+        h_block = _plugin_entropy(blocks_per_count, total)
         values.append(h_block - previous)
         previous = h_block
         if table.cyclic and n_blocks == blocks:

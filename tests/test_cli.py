@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ordlab
 from ordlab import distributions as d, rate
@@ -729,8 +730,57 @@ _RING_COMPARE = st.one_of(
 ).map(lambda dist: ["ring", "compare", "--dist", dist])
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(argv=st.one_of(_DEPLEN, _RING_COMPARE))
+_GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+_CORPORA = ["empty.txt", "one.txt", "short.txt", "tokens.txt", "periodic.txt",
+            "chars.txt"]
+_MAX_ORDERS = ["1", "62", "63", "64", str(10**6)]
+_CAPS = ["0", "-0", "1e-300", "inf"]
+
+
+def _rate_argv(command, corpus, max_order, cap, cyclic, chars):
+    return ["rate", command, str(_GOLDEN_INPUTS / corpus),
+            *(() if max_order is None else ("--max-order", max_order)),
+            *(() if cap is None else ("--coverage-cap", cap)),
+            *(("--cyclic",) if cyclic else ()), *(("--chars",) if chars else ())]
+
+
+def _bounded(case):
+    # a cyclic profile that no cap cuts short runs to --max-order: 10**6
+    # values take about a second to print, and rate hilberg's 291-row gamma
+    # grid over them needs gigabytes, so 10**6 goes with --cyclic only under
+    # a cap that stops the profile at order 2
+    _, _, max_order, cap, cyclic, _ = case
+    return not (cyclic and max_order == _MAX_ORDERS[-1] and cap != "1e-300")
+
+
+_RATE = st.tuples(
+    st.sampled_from(["profile", "cer", "hilberg", "peak"]), st.sampled_from(_CORPORA),
+    st.one_of(st.sampled_from([None, *_MAX_ORDERS]), _NUMBER),
+    st.one_of(st.sampled_from([None, *_CAPS]), _NUMBER),
+    st.booleans(), st.booleans(),
+).filter(_bounded).map(lambda case: _rate_argv(*case))
+
+
+def _every_rate_max_order(test):
+    """Each command with each listed --max-order, cyclic and not.
+
+    The caps, the corpora and --chars take turns, so each of them comes
+    with every command too.
+    """
+    grid = itertools.product(["profile", "cer", "hilberg", "peak"], _MAX_ORDERS,
+                             (False, True))
+    for i, (command, max_order, cyclic) in enumerate(grid):
+        case = (command, _CORPORA[i % len(_CORPORA)], max_order,
+                _CAPS[i % len(_CAPS)], cyclic, i % 3 == 0)
+        if not _bounded(case):
+            case = case[:3] + ("1e-300",) + case[4:]
+        test = example(argv=_rate_argv(*case))(test)
+    return test
+
+
+@_every_rate_max_order
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(argv=st.one_of(_DEPLEN, _RING_COMPARE, _RATE))
 def test_fuzzed_numbers_keep_the_error_contract(argv):
     result = CliRunner().invoke(main, argv)
     assert isinstance(result.exception, (SystemExit, type(None)))

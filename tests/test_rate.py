@@ -66,20 +66,30 @@ def token_sequences(draw):
 
 
 @st.composite
-def grouping_boundary_sequences(draw):
-    """All V tokens, then random ones, for about V * V / 2 tokens in all.
+def chunk_edge_cases(draw):
+    """(sequence, max_order, cyclic) with orders on both sides of a chunk edge.
 
-    Counting an order groups its windows with np.bincount while the rolled
-    id range (groups of the order below times V) is at most twice the
-    window count, and with np.unique above that.  At order 2 that range is
-    V * V, so these lengths put order 2 on either side of the switch and on
-    it; the higher orders fall on both sides as well.
+    A table sorts 63 // bits orders at a time, one key per window, where a
+    code takes bits = V.bit_length() bits: code V marks a position past a
+    non-cyclic end, so a vocabulary of 2**b symbols needs one bit more than
+    one of 2**b - 1.  Vocabularies of 2**b - 1, 2**b and 2**b + 1 symbols
+    put V on both sides of that, and max_order runs from one below the last
+    order of the first chunk to two past it, so the next chunk, led by the
+    rank of each window's block, is counted too.  Cyclic orders may pass
+    the sequence length.  A repeated motif keeps long blocks repeating.
     """
-    vocabulary = draw(st.integers(1, 40))
-    n = max(vocabulary, vocabulary * vocabulary // 2 + draw(st.integers(-2, 2)))
-    tail = draw(st.lists(st.integers(0, vocabulary - 1),
-                         min_size=n - vocabulary, max_size=n - vocabulary))
-    return [f"w{c}" for c in list(range(vocabulary)) + tail]
+    vocabulary = 2 ** draw(st.integers(1, 5)) + draw(st.integers(-1, 1))
+    per_chunk = 63 // vocabulary.bit_length()
+    max_order = draw(st.integers(per_chunk - 1, per_chunk + 2))
+    n = draw(st.integers(vocabulary, max(vocabulary, per_chunk) + 8))
+    if draw(st.booleans()):
+        motif = draw(st.lists(st.integers(0, vocabulary - 1), min_size=1, max_size=4))
+        tail = (motif * n)[:n - vocabulary]
+    else:
+        tail = draw(st.lists(st.integers(0, vocabulary - 1),
+                             min_size=n - vocabulary, max_size=n - vocabulary))
+    codes = draw(st.permutations(range(vocabulary))) + tail
+    return [f"w{c}" for c in codes], max_order, draw(st.booleans())
 
 
 class TestNgramCounts:
@@ -179,10 +189,8 @@ class TestConditionalProfile:
 
 class TestMatchesCounterReference:
     @settings(deadline=None)
-    @given(st.one_of(token_sequences(), grouping_boundary_sequences()),
-           st.integers(1, 8), st.booleans(), st.sampled_from([0.2, 0.05, None]))
-    # four tokens: order 2 has id range 16, on the switch with 8 windows
-    # (np.bincount) and just past it with 7 (np.unique)
+    @given(token_sequences(), st.integers(1, 8), st.booleans(),
+           st.sampled_from([0.2, 0.05, None]))
     @example("abcdabdca", 3, False, None)
     @example("abcdabdc", 3, False, None)
     # cyclic blocks stop splitting by order len(sequence) + 1 at the latest;
@@ -191,6 +199,20 @@ class TestMatchesCounterReference:
     @example("abcabc", 30, True, None)
     @example("aabacbb", 20, True, 1.0)
     def test_same_floats(self, sequence, max_order, cyclic, coverage_cap):
+        self.check(sequence, max_order, cyclic, coverage_cap)
+
+    @settings(deadline=None)
+    @given(chunk_edge_cases(), st.sampled_from([None, 1.0, 0.5]))
+    def test_same_counts_and_floats_across_a_chunk_edge(self, case, coverage_cap):
+        sequence, max_order, cyclic = case
+        self.check(sequence, max_order, cyclic, coverage_cap)
+        table = rate.ngram_counts(sequence, max_order, cyclic=cyclic)
+        counts, _ = reference_ngram_counts(sequence, max_order, cyclic)
+        for order in counts:  # same blocks, counts and first-occurrence order
+            assert list(table.counts[order].items()) == list(counts[order].items())
+
+    @staticmethod
+    def check(sequence, max_order, cyclic, coverage_cap):
         table = rate.ngram_counts(sequence, max_order, cyclic=cyclic)
         want = reference_profile(sequence, max_order, cyclic, coverage_cap)
         if want:
@@ -207,37 +229,48 @@ class TestMatchesCounterReference:
 
 
 class TestLazyCounting:
-    def test_profile_counts_no_order_past_its_stop(self):
-        # 40 distinct tokens: order 2 breaks the coverage cap
-        table = rate.ngram_counts([f"t{i}" for i in range(40)], 8)
+    # table._chunk is the last chunk of orders sorted: (first order, number
+    # of orders, leading ranks, sorted keys, key XORs).  Chunks are sorted in
+    # order, so none past the one it holds has been sorted.
+
+    def test_profile_sorts_no_chunk_past_its_stop(self):
+        # 40 distinct tokens, 10 orders per chunk: order 2 breaks the cap
+        table = rate.ngram_counts([f"t{i}" for i in range(40)], 30)
         assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
-        assert sorted(table._groups) == [1, 2]
+        assert table._chunk[:2] == (1, 10)
         # 3 tokens: orders 4.. have no window left
-        table = rate.ngram_counts("abc", 8)
+        table = rate.ngram_counts("abc", 100)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 3
-        assert sorted(table._groups) == [1, 2, 3]
+        assert table._chunk[:2] == (1, 31)
+        # 40 tokens of 2 kinds, 31 orders in the first chunk: the second,
+        # led by ranks of at most 6 bits, holds orders 32..59 and order 40,
+        # the last with a window
+        table = rate.ngram_counts("ab" * 13 + "a" * 14, 100)
+        profile = rate.conditional_entropy_profile(table, coverage_cap=None)
+        assert len(profile) == 40
+        assert table._chunk[:2] == (32, 28)
 
-    def test_cyclic_profile_counts_up_to_its_fixpoint(self):
+    def test_cyclic_profile_sorts_up_to_its_fixpoint(self):
         # order 2 has as many blocks as order 1: nothing past it is counted
         table = rate.ngram_counts(["a", "b", "c"] * 40, 200_000, cyclic=True)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 200_000
         assert profile.values[0] == math.log2(3)
         assert set(profile.values[1:]) == {0.0}
-        assert sorted(table._groups) == [1, 2]
+        assert table._chunk[:2] == (1, 31)
         # 7 tokens whose 7 cyclic 3-blocks all differ: order 4 shows that
         # they stopped splitting
         table = rate.ngram_counts("aabacbb", 50, cyclic=True)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 50
-        assert sorted(table._groups) == [1, 2, 3, 4]
+        assert table._chunk[:2] == (1, 31)
 
     def test_unigram_view_in_first_occurrence_order(self):
         table = rate.ngram_counts("banana", 5)
         assert list(table.counts[1].items()) == [(("b",), 1), (("a",), 3),
                                                  (("n",), 2)]
-        assert sorted(table._groups) == [1]
+        assert table._chunk[:2] == (1, 5)
 
     def test_views_are_not_memoised(self):
         table = rate.ngram_counts("abab", 2)
@@ -251,10 +284,14 @@ class TestLazyCounting:
         assert len(table.total_positions) == len(table.counts) == 10**12
         assert table.total_positions[10**12] == 0
         assert table.counts[10**12] == Counter()
-        assert not table._groups
+        assert table._chunk is None
         assert 0 not in table.counts and 10**12 + 1 not in table.total_positions
         with pytest.raises(KeyError):
             table.counts[10**12 + 1]
+        # the profile sorts one chunk: one key per window, 31 orders a key
+        assert len(rate.conditional_entropy_profile(table, coverage_cap=None)) == 5
+        first, orders, lead, keys, xor = table._chunk
+        assert (first, orders, lead, len(keys), len(xor)) == (1, 31, None, 5, 4)
 
 
 class TestExactPeriodic:

@@ -111,9 +111,16 @@ def test_landscape_calls_each_distance_once_in_order():
     calls = []
 
     class Recording(CostTransducer):
-        def __call__(self, x):
-            calls.append(x)
-            return super().__call__(x)
+        # the map is chosen once, when the transducer is made, and the
+        # landscape applies it without a call through __call__
+        def _resolved(self):
+            direction, apply = super()._resolved()
+
+            def recorded(x):
+                calls.append(x)
+                return apply(x)
+
+            return direction, recorded
 
     deplen.landscape(9, Recording("power", (1.5,)))
     assert calls == list(range(1, 9))
