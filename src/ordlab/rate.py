@@ -63,14 +63,12 @@ class NGramTable:
     """Sliding-window block counts for orders 1..max_order, counted lazily.
 
     The tokens are held as integer codes numbered in order of first
-    occurrence, and code ``len(vocabulary)`` marks a position past the end
-    of a non-cyclic sequence.  Orders are counted in chunks of consecutive
-    orders: the codes of each window's next tokens in the chunk, behind the
-    rank of its block at the order before the chunk, are packed into one
-    int64 key, and the keys are sorted once.  An order's blocks are then
-    the runs of sorted keys that agree on the order's leading digits.  A
-    chunk is sorted the first time one of its orders is asked for, and only
-    the last chunk sorted is kept.
+    occurrence; code ``len(vocabulary)`` marks a position past a non-cyclic
+    end.  A chunk of orders packs each window's codes at those orders,
+    behind the rank of its block at the order before the chunk, into one
+    int64 key, and sorts the keys once; an order's blocks are the runs of
+    keys equal in its leading digits.  A chunk is sorted when one of its
+    orders is first asked for, and only the last one sorted is kept.
 
     ``counts`` maps order -> ``Counter`` of token tuples in order of first
     occurrence, and ``total_positions`` maps order -> number of windows.
@@ -114,11 +112,7 @@ class NGramTable:
         return keys
 
     def _chunk_of(self, order):
-        """The sorted chunk holding ``order``, sorting the chunks up to it.
-
-        The first chunk's keys lead with no rank; a later chunk's keys lead
-        with each window's block at the last order of the chunk before it.
-        """
+        """The sorted chunk holding ``order``, sorting the chunks up to it."""
         if self._chunk is None or order < self._chunk[0]:
             self._chunk = self._sorted_chunk(1, None)
         while order >= self._chunk[0] + self._chunk[1]:
@@ -136,9 +130,7 @@ class NGramTable:
     def _block_ends(self, order):
         """(key shift, sorted index of the last key of each block) of an order.
 
-        Adjacent sorted keys lie in different blocks when they differ in a
-        digit at or above the order's, so where their XOR reaches the lowest
-        bit of the order's digit.
+        A block ends where the XOR of adjacent keys reaches the order's digit.
         """
         first, orders, _, keys, xor = self._chunk_of(order)
         shift = self._bits * (first + orders - 1 - order)
@@ -151,12 +143,13 @@ class NGramTable:
         return np.searchsorted(keys[ends] >> shift,
                                self._keys(first, orders, lead) >> shift)
 
-    def _blocks_per_count(self, order):
-        """Number of the order's blocks seen c times, at index c."""
+    def _counts_of_counts(self, order):
+        """(each distinct count c of the order's blocks, blocks seen c times)."""
         blocks_per_count = np.bincount(np.diff(self._block_ends(order)[1], prepend=-1))
         # each window that runs past a non-cyclic end is a block of its own
         blocks_per_count[1] -= self._n - self._windows(order)
-        return blocks_per_count
+        counts = np.flatnonzero(blocks_per_count)
+        return counts, blocks_per_count[counts]
 
     def _counter(self, order):
         windows = self._windows(order)
@@ -196,15 +189,11 @@ def block_entropy(table, order):
     total = table.total_positions[order]
     if total == 0:
         raise InsufficientData(f"no windows of order {order}")
-    return _plugin_entropy(table._blocks_per_count(order), total)
-
-
-def _plugin_entropy(blocks_per_count, total):
     # blocks seen equally often have equal terms: each distinct count c
     # enters once, with the number of blocks seen c times.  Below 2**53 the
     # float64 quotient equals Python's c / total
-    counts = np.flatnonzero(blocks_per_count)
-    return plugin_entropy(counts / total, blocks_per_count[counts])
+    counts, repeats = table._counts_of_counts(order)
+    return plugin_entropy(counts / total, repeats)
 
 
 def conditional_entropy_profile(table, coverage_cap=0.2):
@@ -230,11 +219,11 @@ def conditional_entropy_profile(table, coverage_cap=0.2):
         total = table.total_positions[order]
         if not total:
             break
-        blocks_per_count = table._blocks_per_count(order)
-        n_blocks = int(blocks_per_count.sum())
+        counts, repeats = table._counts_of_counts(order)
+        n_blocks = int(repeats.sum())
         if coverage_cap is not None and order > 1 and n_blocks > coverage_cap * total:
             break
-        h_block = _plugin_entropy(blocks_per_count, total)
+        h_block = plugin_entropy(counts / total, repeats)
         values.append(h_block - previous)
         previous = h_block
         if table.cyclic and n_blocks == blocks:

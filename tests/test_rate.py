@@ -233,7 +233,7 @@ class TestLazyCounting:
     # of orders, leading ranks, sorted keys, key XORs).  Chunks are sorted in
     # order, so none past the one it holds has been sorted.
 
-    def test_profile_sorts_no_chunk_past_its_stop(self):
+    def test_profile_counts_no_order_past_its_stop(self):
         # 40 distinct tokens, 10 orders per chunk: order 2 breaks the cap
         table = rate.ngram_counts([f"t{i}" for i in range(40)], 30)
         assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
@@ -251,7 +251,7 @@ class TestLazyCounting:
         assert len(profile) == 40
         assert table._chunk[:2] == (32, 28)
 
-    def test_cyclic_profile_sorts_up_to_its_fixpoint(self):
+    def test_cyclic_profile_counts_up_to_its_fixpoint(self):
         # order 2 has as many blocks as order 1: nothing past it is counted
         table = rate.ngram_counts(["a", "b", "c"] * 40, 200_000, cyclic=True)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
