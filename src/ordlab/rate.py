@@ -127,25 +127,26 @@ class NGramTable:
         keys.sort()
         return first, orders, lead, keys, keys[1:] ^ keys[:-1]
 
-    def _block_ends(self, order):
-        """(key shift, sorted index of the last key of each block) of an order.
-
-        A block ends where the XOR of adjacent keys reaches the order's digit.
-        """
-        first, orders, _, keys, xor = self._chunk_of(order)
-        shift = self._bits * (first + orders - 1 - order)
-        return shift, np.append(np.flatnonzero(xor >= 1 << shift), len(keys) - 1)
+    def _locate(self, order):
+        """The chunk holding ``order``, and the bit where its digit starts."""
+        chunk = self._chunk_of(order)
+        return chunk, self._bits * (chunk[0] + chunk[1] - 1 - order)
 
     def _blocks(self, order):
         """Each window's block of an order, numbered in sorted key order."""
-        shift, ends = self._block_ends(order)
-        first, orders, lead, keys, _ = self._chunk
-        return np.searchsorted(keys[ends] >> shift,
-                               self._keys(first, orders, lead) >> shift)
+        (first, orders, lead, _, _), shift = self._locate(order)
+        keys = self._keys(first, orders, lead) >> shift
+        return np.unique(keys, return_inverse=True)[1]
 
     def _counts_of_counts(self, order):
-        """(each distinct count c of the order's blocks, blocks seen c times)."""
-        blocks_per_count = np.bincount(np.diff(self._block_ends(order)[1], prepend=-1))
+        """(each distinct count c of the order's blocks, blocks seen c times).
+
+        A block ends where the XOR of adjacent sorted keys reaches the
+        order's digit.
+        """
+        (*_, keys, xor), shift = self._locate(order)
+        ends = np.append(np.flatnonzero(xor >= 1 << shift), len(keys) - 1)
+        blocks_per_count = np.bincount(np.diff(ends, prepend=-1))
         # each window that runs past a non-cyclic end is a block of its own
         blocks_per_count[1] -= self._n - self._windows(order)
         counts = np.flatnonzero(blocks_per_count)
