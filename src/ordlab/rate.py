@@ -87,8 +87,9 @@ class NGramTable:
             wrap = codes[:min(self._n, max_order) - 1]
             codes = np.concatenate([codes, wrap])
         self._codes = codes
-        # the last chunk sorted: (first order, orders, leading ranks or None,
-        # sorted keys, XOR of each two adjacent keys)
+        # the last chunk sorted: [first order, orders, leading ranks or None,
+        # sorted keys, XOR of each two adjacent keys, each window's index
+        # among the sorted keys once something has asked for it]
         self._chunk = None
         self.counts = _OrderView(max_order, self._counter)
         self.total_positions = _OrderView(max_order, self._windows)
@@ -125,7 +126,7 @@ class NGramTable:
         orders = min((63 - lead_bits) // self._bits, self.max_order - first + 1)
         keys = self._keys(first, orders, lead)
         keys.sort()
-        return first, orders, lead, keys, keys[1:] ^ keys[:-1]
+        return [first, orders, lead, keys, keys[1:] ^ keys[:-1], None]
 
     def _locate(self, order):
         """The chunk holding ``order``, and the bit where its digit starts."""
@@ -134,9 +135,12 @@ class NGramTable:
 
     def _blocks(self, order):
         """Each window's block of an order, numbered in sorted key order."""
-        (first, orders, lead, _, _), shift = self._locate(order)
-        keys = self._keys(first, orders, lead) >> shift
-        return np.unique(keys, return_inverse=True)[1]
+        chunk, shift = self._locate(order)
+        first, orders, lead, _, xor, place = chunk
+        if place is None:  # each window's index among the sorted keys
+            place = chunk[5] = np.empty(self._n, np.int64)
+            place[np.argsort(self._keys(first, orders, lead))] = np.arange(self._n)
+        return np.concatenate(([0], np.cumsum(xor >= 1 << shift)))[place]
 
     def _counts_of_counts(self, order):
         """(each distinct count c of the order's blocks, blocks seen c times).
@@ -144,7 +148,7 @@ class NGramTable:
         A block ends where the XOR of adjacent sorted keys reaches the
         order's digit.
         """
-        (*_, keys, xor), shift = self._locate(order)
+        (*_, keys, xor, _), shift = self._locate(order)
         ends = np.append(np.flatnonzero(xor >= 1 << shift), len(keys) - 1)
         blocks_per_count = np.bincount(np.diff(ends, prepend=-1))
         # each window that runs past a non-cyclic end is a block of its own

@@ -229,27 +229,28 @@ class TestMatchesCounterReference:
 
 
 class TestLazyCounting:
-    # table._chunk is the last chunk of orders sorted: (first order, number
-    # of orders, leading ranks, sorted keys, key XORs).  Chunks are sorted in
-    # order, so none past the one it holds has been sorted.
+    # table._chunk is the last chunk of orders sorted: [first order, number
+    # of orders, leading ranks, sorted keys, key XORs, window places].
+    # Chunks are sorted in order, so none past the one it holds has been
+    # sorted.
 
     def test_profile_counts_no_order_past_its_stop(self):
         # 40 distinct tokens, 10 orders per chunk: order 2 breaks the cap
         table = rate.ngram_counts([f"t{i}" for i in range(40)], 30)
         assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
-        assert table._chunk[:2] == (1, 10)
+        assert table._chunk[:2] == [1, 10]
         # 3 tokens: orders 4.. have no window left
         table = rate.ngram_counts("abc", 100)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 3
-        assert table._chunk[:2] == (1, 31)
+        assert table._chunk[:2] == [1, 31]
         # 40 tokens of 2 kinds, 31 orders in the first chunk: the second,
         # led by ranks of at most 6 bits, holds orders 32..59 and order 40,
         # the last with a window
         table = rate.ngram_counts("ab" * 13 + "a" * 14, 100)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 40
-        assert table._chunk[:2] == (32, 28)
+        assert table._chunk[:2] == [32, 28]
 
     def test_cyclic_profile_counts_up_to_its_fixpoint(self):
         # order 2 has as many blocks as order 1: nothing past it is counted
@@ -258,19 +259,19 @@ class TestLazyCounting:
         assert len(profile) == 200_000
         assert profile.values[0] == math.log2(3)
         assert set(profile.values[1:]) == {0.0}
-        assert table._chunk[:2] == (1, 31)
+        assert table._chunk[:2] == [1, 31]
         # 7 tokens whose 7 cyclic 3-blocks all differ: order 4 shows that
         # they stopped splitting
         table = rate.ngram_counts("aabacbb", 50, cyclic=True)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 50
-        assert table._chunk[:2] == (1, 31)
+        assert table._chunk[:2] == [1, 31]
 
     def test_unigram_view_in_first_occurrence_order(self):
         table = rate.ngram_counts("banana", 5)
         assert list(table.counts[1].items()) == [(("b",), 1), (("a",), 3),
                                                  (("n",), 2)]
-        assert table._chunk[:2] == (1, 5)
+        assert table._chunk[:2] == [1, 5]
 
     def test_views_are_not_memoised(self):
         table = rate.ngram_counts("abab", 2)
@@ -290,8 +291,9 @@ class TestLazyCounting:
             table.counts[10**12 + 1]
         # the profile sorts one chunk: one key per window, 31 orders a key
         assert len(rate.conditional_entropy_profile(table, coverage_cap=None)) == 5
-        first, orders, lead, keys, xor = table._chunk
-        assert (first, orders, lead, len(keys), len(xor)) == (1, 31, None, 5, 4)
+        first, orders, lead, keys, xor, place = table._chunk
+        assert (first, orders, lead, place) == (1, 31, None, None)
+        assert (len(keys), len(xor)) == (5, 4)
 
 
 class TestExactPeriodic:
