@@ -562,12 +562,12 @@ def generate(source, length, seed=None):
 def scramble(sequence, seed):
     """Uniform random permutation of the tokens; multiset is preserved.
 
-    Token ``i`` of the result is ``sequence[perm[i]]`` for ``perm =
-    rng.permutation(n)`` of the seed's substream, taken in one step.
+    The tokens are shuffled in place by the seed's substream, which makes the
+    swaps of ``perm = rng.permutation(n)``: token ``i`` is ``sequence[perm[i]]``.
     """
-    rng = substream(seed, "scramble")
-    seq = list(sequence)
-    return _take(seq, rng.permutation(len(seq)))
+    tokens = np.fromiter(sequence, object)  # np.array would split tuple tokens
+    substream(seed, "scramble").shuffle(tokens)
+    return tokens.tolist()
 
 
 # ---------------------------------------------------------------------------

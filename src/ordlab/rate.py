@@ -375,22 +375,23 @@ def hilberg_fit(profile, variant="relaxed"):
         raise InsufficientData("need a profile of length >= 3 to fit")
     if y.max() - y.min() <= 1e-12:
         raise DegenerateProfile("constant profile: gamma is unidentifiable")
-    i = np.arange(1, len(y) + 1, dtype=float)
-    f = i ** -GAMMA_GRID[:, None]  # one row per gamma
-    a = np.maximum(0.0, (f @ y) / np.sum(f * f, axis=1))  # best fit with b = 0
-    b = np.zeros_like(a)
-    if variant == "relaxed":
-        y_mean, f_mean = y.mean(), f.mean(axis=1)
-        f_centred = f - f_mean[:, None]
-        a_free = (f_centred @ (y - y_mean)) / np.sum(f_centred * f_centred, axis=1)
-        b_free = y_mean - a_free * f_mean
-        b_edge = max(0.0, float(y_mean))
-        edge_sse = np.sum((y - a[:, None] * f) ** 2, axis=1)  # on the edge b = 0
-        offset_only = np.sum((y - b_edge) ** 2) < edge_sse
-        free = (a_free >= 0) & (b_free >= 0)
-        a = np.where(free, a_free, np.where(offset_only, 0.0, a))
-        b = np.where(free, b_free, np.where(offset_only, b_edge, 0.0))
-    rms = np.sqrt(np.mean((y - (a[:, None] * f + b[:, None])) ** 2, axis=1))
+    with allocating(f"a gamma grid over {len(y)} values does not fit in memory"):
+        i = np.arange(1, len(y) + 1, dtype=float)
+        f = i ** -GAMMA_GRID[:, None]  # one row per gamma
+        a = np.maximum(0.0, (f @ y) / np.sum(f * f, axis=1))  # best fit with b = 0
+        b = np.zeros_like(a)
+        if variant == "relaxed":
+            y_mean, f_mean = y.mean(), f.mean(axis=1)
+            f_centred = f - f_mean[:, None]
+            a_free = (f_centred @ (y - y_mean)) / np.sum(f_centred * f_centred, axis=1)
+            b_free = y_mean - a_free * f_mean
+            b_edge = max(0.0, float(y_mean))
+            edge_sse = np.sum((y - a[:, None] * f) ** 2, axis=1)  # on the edge b = 0
+            offset_only = np.sum((y - b_edge) ** 2) < edge_sse
+            free = (a_free >= 0) & (b_free >= 0)
+            a = np.where(free, a_free, np.where(offset_only, 0.0, a))
+            b = np.where(free, b_free, np.where(offset_only, b_edge, 0.0))
+        rms = np.sqrt(np.mean((y - (a[:, None] * f + b[:, None])) ** 2, axis=1))
     k = int(np.argmin(rms))
     return HilbergFit(float(a[k]), float(GAMMA_GRID[k]), float(b[k]), variant,
                       float(rms[k]))

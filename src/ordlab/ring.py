@@ -180,31 +180,32 @@ class RingKernel:
         return mult
 
 
+# ring distances between ORDERS, as indices into a row of decays
+_DISTANCES = np.array([[ring_distance(a, b) for b in ORDERS] for a in ORDERS])
+
+
 def transition_matrix(kernel):
     """Row-stochastic 6x6 matrix over ORDERS.
 
-    Kernel weights are finite and >= 0, so a row whose total is finite and
-    positive normalises to a valid probability row; a row that sums to zero
-    or overflows raises DegenerateRow.
+    Off the diagonal, cell (i, j) is decay(ring distance) times ORDERS[j]'s
+    filter multiplier, each taken once; the diagonal is the self weight.
+    Weights are finite and >= 0, so only a row total of zero, inf or nan
+    fails to normalise: the first such row raises DegenerateRow.
     """
-    matrix = np.zeros((6, 6))
+    decays = np.array([0.0, *map(kernel.decay, (1, 2, 3))])
+    multipliers = [kernel.destination_multiplier(o) for o in ORDERS]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, src in enumerate(ORDERS):
-            for j, dst in enumerate(ORDERS):
-                if i == j:
-                    matrix[i, j] = kernel.self_weight
-                else:
-                    matrix[i, j] = kernel.decay(
-                        ring_distance(src, dst)
-                    ) * kernel.destination_multiplier(dst)
-            total = float(matrix[i].sum())
-            if total <= 0.0:
-                raise DegenerateRow(f"all transition weights from {src} are zero")
-            if not math.isfinite(total):
-                raise DegenerateRow(
-                    f"transition weights from {src} overflow to a total of {total!r}"
-                )
-            matrix[i] /= total
+        matrix = decays[_DISTANCES] * multipliers
+        np.fill_diagonal(matrix, kernel.self_weight)
+        totals = matrix.sum(axis=1)
+    for src, total in zip(ORDERS, totals.tolist()):
+        if total <= 0.0:
+            raise DegenerateRow(f"all transition weights from {src} are zero")
+        if not math.isfinite(total):
+            raise DegenerateRow(
+                f"transition weights from {src} overflow to a total of {total!r}"
+            )
+    matrix /= totals[:, None]
     return matrix
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ordlab
 from ordlab import distributions as d, rate
@@ -778,10 +779,57 @@ def _every_rate_max_order(test):
     return test
 
 
+# JSON values a config field may hold by mistake: NaN and Infinity (which
+# Python's json reads), -0, floats at and past the largest, integers past
+# any float or int64, strings, bools, null and containers
+_JSON_VALUE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, -0.0, 1, -1, 0.5, 2, -2,
+                     745, -745, 1e300, 1e308, -1e308, 10**400, -10**400,
+                     2**63 - 1, 2**63, "x", "1.0", "", True, False, None, [1], {}]),
+    st.floats(), st.integers(),
+)
+_TABULATED_WEIGHTS = st.one_of(
+    st.dictionaries(st.sampled_from(["1", "2", "3", "0", "4", "-1", "1.5", "x", ""]),
+                    _JSON_VALUE, max_size=5),
+    st.fixed_dictionaries({"1": _JSON_VALUE, "2": _JSON_VALUE, "3": _JSON_VALUE}),
+    _JSON_VALUE,
+)
+_DECAY = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["exponential", "inverse_power", "tabulated",
+                                  "linear", 1, None])},
+        optional={"beta": _JSON_VALUE, "alpha": _JSON_VALUE,
+                  "weights": _TABULATED_WEIGHTS}),
+    _JSON_VALUE,
+)
+_FILTERS = st.one_of(
+    st.dictionaries(st.sampled_from(["dlm", "verb_uncertainty", "nominal_uncertainty",
+                                     "agent_first", "typo", ""]),
+                    _JSON_VALUE, max_size=5),
+    _JSON_VALUE,
+)
+# steps stay at most 50 or are too large for any trajectory; an ensemble
+# size costs nothing, so it goes up to and past int64
+_RING_SIMULATE = st.fixed_dictionaries({}, optional={
+    "decay": _DECAY, "filters": _FILTERS, "self_weight": _JSON_VALUE,
+    "steps": st.one_of(st.integers(0, 50),
+                       st.sampled_from([-1, 1.5, "7", "x", None, True, 2**63])),
+    "ensemble_size": st.one_of(st.integers(1, 2**63 - 1),
+                               st.sampled_from([0, -1, 2**63, 1e19, "x", True])),
+    "start": st.one_of(_ORDER, st.sampled_from(["sov", "XYZ", "", 5, None])),
+    "seed": st.one_of(st.integers(-2**70, 2**70), st.sampled_from([1.5, "x", None])),
+}).map(lambda cfg: ["ring", "simulate", "--config", json.dumps(cfg)])
+
+
 @_every_rate_max_order
-@settings(derandomize=True, max_examples=250, deadline=None)
-@given(argv=st.one_of(_DEPLEN, _RING_COMPARE, _RATE))
-def test_fuzzed_numbers_keep_the_error_contract(argv):
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(_DEPLEN, _RING_COMPARE, _RATE, _RING_SIMULATE))
+def test_fuzzed_numbers_keep_the_error_contract(argv, tmp_path):
+    if argv[:2] == ["ring", "simulate"]:  # the config's JSON goes to a file
+        config = tmp_path / "config.json"
+        config.write_text(argv[-1])
+        argv = [*argv[:-1], str(config)]
     result = CliRunner().invoke(main, argv)
     assert isinstance(result.exception, (SystemExit, type(None)))
     assert result.exit_code in (0, 1, 2)
@@ -820,3 +868,23 @@ class TestRuntimeDependencies:
                      ["rate", "hilberg", str(corpus), "--variant", "relaxed"]):
             result = self.run(code, *args)
             assert result.returncode == 0, result.stderr
+
+
+def test_a_hilberg_grid_beyond_the_memory_cap_is_an_error_record():
+    # a cyclic profile of 10**6 values, all but the first 0.0, needs a
+    # 291 x 10**6 float64 gamma grid (2.17 GiB per array); the address-space
+    # cap is set in the child only
+    resource = pytest.importorskip("resource")
+    cap = 1500 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(Path(ordlab.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ordlab.cli", "rate", "hilberg",
+         str(GOLDEN_INPUTS / "periodic.txt"), "--cyclic", "--max-order", "1000000",
+         "--coverage-cap", "0"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stderr)["error"] == "result_too_large"
+    assert result.stdout == ""

@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordlab import ring
 from ordlab.errors import DegenerateRow, ResultTooLarge, UnsupportedSource
@@ -107,6 +109,51 @@ class TestPredictedDestinations:
     def test_needs_ring_or_filter(self):
         with pytest.raises(ValueError):
             ring.predicted_destinations("SOV", False, None)
+
+
+def reference_transition_matrix(kernel):
+    """The matrix cell by cell, each with its own decay and multiplier."""
+    matrix = np.zeros((6, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, src in enumerate(ring.ORDERS):
+            for j, dst in enumerate(ring.ORDERS):
+                if i == j:
+                    matrix[i, j] = kernel.self_weight
+                else:
+                    matrix[i, j] = kernel.decay(
+                        ring.ring_distance(src, dst)
+                    ) * kernel.destination_multiplier(dst)
+            total = float(matrix[i].sum())
+            if total <= 0.0:
+                raise DegenerateRow(f"all transition weights from {src} are zero")
+            if not math.isfinite(total):
+                raise DegenerateRow(
+                    f"transition weights from {src} overflow to a total of {total!r}"
+                )
+            matrix[i] /= total
+    return matrix
+
+
+# finite weights >= 0, with the edges that meet in a row: zeros (-0.0 too),
+# subnormals, and weights whose products or sums overflow
+_WEIGHT = st.one_of(
+    st.sampled_from([0, 1, 0.0, -0.0, 1.0, 5e-324, 1e300, 1e308, 10**308]),
+    st.floats(0, 1e308), st.integers(0, 10**6),
+)
+# decay parameters of either sign: 0, integers, and ones that overflow
+_PARAM = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -1, 744.0, -745.0, 2000, -2000, 1e308,
+                     -1e308, 10**308, -10**308]),
+    st.floats(-1e308, 1e308), st.integers(-10**6, 10**6),
+)
+_FILTERS = st.dictionaries(st.sampled_from(sorted(ring.FILTER_SETS)), _WEIGHT)
+_KERNELS = st.one_of(
+    st.builds(ring.RingKernel, st.sampled_from(["exponential", "inverse_power"]),
+              _PARAM, _FILTERS, _WEIGHT),
+    st.builds(ring.RingKernel, st.just("tabulated"),
+              st.fixed_dictionaries({1: _WEIGHT, 2: _WEIGHT, 3: _WEIGHT}),
+              _FILTERS, _WEIGHT),
+)
 
 
 class TestKernel:
@@ -219,6 +266,20 @@ class TestKernel:
         matrix = ring.transition_matrix(kernel)
         assert np.isfinite(matrix).all() and (matrix >= 0).all()
         assert np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel=_KERNELS)
+    def test_matrix_matches_the_per_cell_loop(self, kernel):
+        try:
+            expected = reference_transition_matrix(kernel)
+        except DegenerateRow as exc:
+            with pytest.raises(DegenerateRow) as raised:
+                ring.transition_matrix(kernel)
+            assert str(raised.value) == str(exc)
+        else:
+            matrix = ring.transition_matrix(kernel)
+            assert matrix.shape == (6, 6) and matrix.dtype == np.float64
+            assert matrix.tobytes() == expected.tobytes()
 
 
 class TestEvolve:
