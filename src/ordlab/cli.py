@@ -298,9 +298,9 @@ def _config_int(cfg, name, default, minimum=None, maximum=None):
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputParseError(
-            f"config {name!r} = {value!r} is not an integer"
-        ) from None
+        number = None
+    if number is None or isinstance(value, bool):  # a JSON true is not the number 1
+        raise InputParseError(f"config {name!r} = {value!r} is not an integer")
     if minimum is not None and number < minimum:
         raise InputParseError(f"config {name!r} = {number} must be >= {minimum}")
     if maximum is not None and number > maximum:

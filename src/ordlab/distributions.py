@@ -373,6 +373,26 @@ class SequenceSource:
         object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
+class _CodedTokens(list):
+    """The tokens ``symbols[c]`` of ``codes``, carrying ``_coded = (symbols, codes)``.
+
+    Any in-place change sets ``_coded`` to None; slices, ``copy()`` and ``+`` are plain
+    lists.  The codes are of the narrowest unsigned dtype that holds len(symbols).
+    """
+
+    def __init__(self, symbols, codes):
+        super().__init__(np.fromiter(symbols, object, len(symbols))[codes].tolist())
+        self._coded = (symbols, codes.astype(np.min_scalar_type(len(symbols))))
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    def _dropping_codes(self, *args, _method=getattr(list, _name), **kwargs):
+        self._coded = None
+        return _method(self, *args, **kwargs)
+    setattr(_CodedTokens, _name, _dropping_codes)
+
+
 # a Markov walk runs this many steps per block; see _walk
 _BLOCK = 256
 
@@ -437,7 +457,6 @@ def _walk(first, nexts, keys, symbols):
     whose walks never meet costs one Python step per token.
     """
     path = _guessed_path(first, nexts, keys)
-    tokens = _take(symbols, path)
     # the repair reads lists, which cost less per step than numpy items: 8
     # steps first, as walks from different states mostly meet soon, then the
     # rest of the block; walks that meet agree from then on, so a window's
@@ -448,13 +467,13 @@ def _walk(first, nexts, keys, symbols):
         met = state == first
         while not met and j < stop:
             end = min(j + width, stop)
-            # a comprehension steps faster than a for statement
-            tokens[j + 1:end + 1] = [symbols[state := nexts[key + state]]
-                                     for key in keys[j:end].tolist()]
-            met, j, width = state == path[end], end, _BLOCK
+            # path[end] is read before it is repaired; a comprehension beats a for loop
+            guess, path[j + 1:end + 1] = path[end], [state := nexts[key + state]
+                                                     for key in keys[j:end].tolist()]
+            met, j, width = state == guess, end, _BLOCK
         if met:
             state = int(path[stop])
-    return tokens
+    return _CodedTokens(symbols, path)
 
 
 def _markov_tokens(source, first, u):
@@ -506,11 +525,6 @@ def _markov_tokens(source, first, u):
     return _walk(index[first], table.ravel(), keys, symbols)
 
 
-def _take(items, idx):
-    """``[items[i] for i in idx]``, by one take on an object array."""
-    return np.fromiter(items, object, len(items))[idx].tolist()
-
-
 def generate(source, length, seed=None):
     """Emit ``length`` tokens from ``source``; pure function of (source, seed).
 
@@ -520,7 +534,8 @@ def generate(source, length, seed=None):
     step takes the next state whose interval of the row's cumulative sums
     holds it.  Time and memory are linear in ``length``; a length whose
     tokens, or their uniforms, cannot be allocated raises ResultTooLarge
-    (``errors.allocating``).
+    (``errors.allocating``).  The iid kind and a Markov walk in blocks
+    return a list that carries the drawn codes, a :class:`_CodedTokens`.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -551,7 +566,7 @@ def generate(source, length, seed=None):
         cdf /= cdf[-1]
         with allocating(too_large):
             u = rng.random(length)
-        return _take(symbols, _buckets(cdf, u))
+        return _CodedTokens(symbols, _buckets(cdf, u))
     states = list(source.initial)
     first = states[rng.choice(len(states), p=[source.initial[s] for s in states])]
     with allocating(too_large):
@@ -564,9 +579,15 @@ def scramble(sequence, seed):
 
     The tokens are shuffled in place by the seed's substream, which makes the
     swaps of ``perm = rng.permutation(n)``: token ``i`` is ``sequence[perm[i]]``.
+    The codes a list carries (:class:`_CodedTokens`) are shuffled instead.
     """
+    rng, coded = substream(seed, "scramble"), getattr(sequence, "_coded", None)
+    if coded is not None:
+        codes = coded[1].astype(np.intp)  # a copy; 8-byte items shuffle fastest
+        rng.shuffle(codes)
+        return _CodedTokens(coded[0], codes)
     tokens = np.fromiter(sequence, object)  # np.array would split tuple tokens
-    substream(seed, "scramble").shuffle(tokens)
+    rng.shuffle(tokens)
     return tokens.tolist()
 
 

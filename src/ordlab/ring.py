@@ -110,6 +110,10 @@ def predicted_destinations(source, use_ring, use_filter=None):
 # Transition kernels and evolution
 
 
+def _is_real(value):  # a JSON true is not the number 1
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RingKernel:
     """Transition weights: decay(ring distance) times active filter boosts.
@@ -136,13 +140,13 @@ class RingKernel:
             params = self.decay_param.values()
         else:
             params = [self.decay_param]
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in params):
+        if not all(_is_real(v) and math.isfinite(v) for v in params):
             raise ValueError(
                 f"decay parameter {self.decay_param!r} is not a finite number"
             )
         if self.decay_kind == "tabulated" and any(v < 0 for v in params):
             raise ValueError("tabulated decay weights must be >= 0")
-        if not isinstance(self.self_weight, numbers.Real):
+        if not _is_real(self.self_weight):
             raise ValueError(f"self_weight {self.self_weight!r} is not numeric")
         if self.self_weight < 0:
             raise ValueError("self_weight must be >= 0")
@@ -153,7 +157,7 @@ class RingKernel:
         for name, weight in self.filters.items():
             if name not in FILTER_SETS:
                 raise ValueError(f"unknown filter {name!r}")
-            if not isinstance(weight, numbers.Real):
+            if not _is_real(weight):
                 raise ValueError(f"filter weight {weight!r} is not numeric")
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"filter weight {weight!r} must be finite and >= 0")

@@ -479,6 +479,17 @@ BAD_INPUTS = {
     ),
     "nan_self_weight": json.dumps({"self_weight": float("nan")}),
     "huge_steps": json.dumps({"steps": 2**63 - 1}),
+    # a JSON true or false is not the number 1 or 0
+    "bool_beta": json.dumps({"decay": {"beta": True}}),
+    "bool_alpha": json.dumps({"decay": {"kind": "inverse_power", "alpha": False}}),
+    "bool_tabulated": json.dumps(
+        {"decay": {"kind": "tabulated", "weights": {"1": 1, "2": True, "3": 0.1}}}
+    ),
+    "bool_filter": json.dumps({"filters": {"dlm": True}}),
+    "bool_self_weight": json.dumps({"self_weight": False}),
+    "bool_steps": json.dumps({"steps": True}),
+    "bool_ensemble_size": json.dumps({"ensemble_size": True}),
+    "bool_seed": json.dumps({"seed": False}),
     # JSON integers too large for a float
     "huge_int_beta": json.dumps({"decay": {"beta": 10**400}}),
     "huge_int_filter": json.dumps({"filters": {"dlm": 10**400}}),
@@ -679,6 +690,10 @@ ERROR_CASES = [
       for name in ("huge_length", "huge_length_contexts")),
     # every edge cost 2^1..2^1023 is finite; their sum at position 1 is not
     (["deplen", "--m", "1024", "--g", "exp:2"], 1, "cost_overflow"),
+    # a JSON true or false is not the number 1 or 0
+    *((["ring", "simulate", "--config", f"{{{name}}}"], 1, "input_parse_error")
+      for name in ("bool_beta", "bool_alpha", "bool_tabulated", "bool_filter",
+                   "bool_self_weight", "bool_steps", "bool_ensemble_size", "bool_seed")),
 ]
 
 

@@ -1,4 +1,7 @@
+import copy
 import math
+import operator
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -294,6 +297,139 @@ class TestLazyCounting:
         first, orders, lead, keys, xor, place = table._chunk
         assert (first, orders, lead, place) == (1, 31, None, None)
         assert (len(keys), len(xor)) == (5, 4)
+
+
+@st.composite
+def coded_sources(draw):
+    """iid and Markov sources of 1-4 symbols, strings or tuples, with zero
+    masses allowed in the marginal, the initial distribution and every row."""
+    symbols = draw(st.lists(st.sampled_from(["a", "b", "c", ("a",), ("a", "b"), ()]),
+                            min_size=1, max_size=4, unique=True))
+
+    def distribution():
+        weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.2, 1.0, 3.0]),
+                                min_size=len(symbols), max_size=len(symbols)))
+        if not any(weights):
+            weights[-1] = 1.0
+        return {s: w / math.fsum(weights) for s, w in zip(symbols, weights)}
+
+    if draw(st.booleans()):
+        return d.SequenceSource("iid", marginal=distribution())
+    return d.SequenceSource("markov", initial=distribution(),
+                            transition={s: distribution() for s in symbols})
+
+
+# a Markov walk of this many tokens or more on up to 4 states walks the
+# bucket table in blocks, and carries its codes; a shorter one bisects
+_BLOCKED = 8 * d._BLOCK + 8
+
+
+class TestCodedTokens:
+    """Generated and scrambled lists carry their codes; results stay those of
+    the plain list of the same tokens."""
+
+    @staticmethod
+    def assert_same_tables(tokens, plain, max_order=4):
+        for cyclic in (False, True):
+            a = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
+            b = rate.ngram_counts(plain, max_order, cyclic=cyclic)
+            assert a._vocabulary == b._vocabulary
+            assert a._codes.dtype == b._codes.dtype
+            assert np.array_equal(a._codes, b._codes)
+            for order in range(1, max_order + 1):
+                assert list(a.counts[order].items()) == list(b.counts[order].items())
+                assert a.total_positions[order] == b.total_positions[order]
+                if a.total_positions[order]:
+                    assert rate.block_entropy(a, order) == rate.block_entropy(b, order)
+            for cap in (None, 0.2):
+                assert (rate.conditional_entropy_profile(a, cap).values
+                        == rate.conditional_entropy_profile(b, cap).values)
+
+    @settings(deadline=None, max_examples=60)
+    @given(coded_sources(),
+           st.sampled_from([1, 2, 50, 8 * d._BLOCK - 1, 8 * d._BLOCK, 8 * d._BLOCK + 1,
+                            _BLOCKED, 12 * d._BLOCK + 5]),
+           st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_coded_and_plain_lists_give_the_same_results(self, source, length, seed,
+                                                         scramble_seed):
+        tokens = d.generate(source, length, seed)
+        if source.kind == "iid" or length >= _BLOCKED:
+            assert tokens._coded is not None
+        self.assert_same_tables(tokens, list(tokens))
+        scrambled = d.scramble(tokens, scramble_seed)
+        assert scrambled == d.scramble(list(tokens), scramble_seed)
+        assert type(scrambled) is type(tokens)
+        self.assert_same_tables(scrambled, list(scrambled), max_order=2)
+
+    def test_errors_keep_their_order(self):
+        tokens = d.generate(d.SequenceSource("iid", marginal={"a": 1.0}), 5)
+        with pytest.raises(ValueError, match="max_order"):
+            rate.ngram_counts(tokens, 0)
+        empty = d._CodedTokens(["a"], np.zeros(0, np.intp))
+        with pytest.raises(EmptySequence):
+            rate.ngram_counts(empty, 0)
+
+    @staticmethod
+    def generated():
+        marginal = {"a": 0.5, "b": 0.25, ("c",): 0.125, "d": 0.125, "z": 0.0}
+        tokens = d.generate(d.SequenceSource("iid", marginal=marginal), 300, 4)
+        assert tokens._coded is not None
+        return tokens
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: operator.setitem(t, 0, t[-1]),
+        lambda t: operator.setitem(t, slice(0, 40), ["x"]),
+        lambda t: operator.delitem(t, 3),
+        lambda t: operator.delitem(t, slice(None, None, 2)),
+        lambda t: operator.iadd(t, ["x", ("y",)]),
+        lambda t: operator.imul(t, 2),
+        lambda t: t.append("x"),
+        lambda t: t.extend(["b", "x"]),
+        lambda t: t.insert(7, "x"),
+        lambda t: t.pop(),
+        lambda t: t.pop(0),
+        lambda t: t.remove("d"),
+        lambda t: t.clear(),
+        lambda t: t.sort(key=str),
+        lambda t: t.sort(key=repr, reverse=True),
+        lambda t: t.reverse(),
+    ], ids=["setitem", "setitem-slice", "delitem", "delitem-slice", "iadd", "imul",
+            "append", "extend", "insert", "pop", "pop-0", "remove", "clear", "sort",
+            "sort-reverse", "reverse"])
+    def test_an_in_place_change_drops_the_codes(self, mutate):
+        tokens = self.generated()
+        plain = list(tokens)
+        mutate(tokens)
+        mutate(plain)
+        assert tokens == plain and tokens._coded is None
+        assert d.scramble(tokens, 3) == d.scramble(plain, 3)
+        if plain:
+            self.assert_same_tables(tokens, plain)
+        else:
+            with pytest.raises(EmptySequence):
+                rate.ngram_counts(tokens, 2)
+
+    @pytest.mark.parametrize("round_trip", [
+        *(lambda t, protocol=protocol: pickle.loads(pickle.dumps(t, protocol))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=[*(f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "copy",
+            "deepcopy"])
+    def test_copies_count_the_same(self, round_trip):
+        tokens = self.generated()
+        copied = round_trip(tokens)
+        assert copied == tokens
+        assert d.scramble(copied, 3) == d.scramble(tokens, 3)
+        self.assert_same_tables(copied, list(tokens))
+
+    def test_slices_and_sums_are_plain_lists(self):
+        tokens = self.generated()
+        for other in (tokens[:], tokens[5:80], tokens[::-1], tokens + tokens,
+                      tokens * 2, tokens.copy()):
+            assert type(other) is list
+        assert tokens._coded is not None
+        self.assert_same_tables(tokens[5:80], list(tokens)[5:80])
 
 
 class TestExactPeriodic:
