@@ -479,9 +479,21 @@ def coding_cmd(input_path, allow_full_reduction):
 # sequence generation
 
 
+def _token_name(name, strip=True):
+    """``name``, stripped in a spec, if ``gen`` prints it as one token that reads back.
+
+    A name that is empty or holds whitespace is an InputParseError.
+    """
+    name = name.strip() if strip else name
+    if name.split() != [name]:
+        what = "holds whitespace" if name else "is empty"
+        raise InputParseError(f"token name {name!r} {what}")
+    return name
+
+
 def _arrow(name):
     src, dst = name.split(">")
-    return f"{src.strip()}>{dst.strip()}"
+    return f"{_token_name(src)}>{_token_name(dst)}"
 
 
 def _parse_transition(spec):
@@ -514,20 +526,20 @@ def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
     if kind == "iid":
         if marginal is None:
             raise InputParseError("iid source needs --marginal")
-        kwargs["marginal"] = _read_pairs(marginal, ":", "distribution", str.strip)
+        kwargs["marginal"] = _read_pairs(marginal, ":", "distribution", _token_name)
     elif kind == "markov":
         if initial is None or transition is None:
             raise InputParseError("markov source needs --initial and --transition")
-        kwargs["initial"] = _read_pairs(initial, ":", "distribution", str.strip)
+        kwargs["initial"] = _read_pairs(initial, ":", "distribution", _token_name)
         kwargs["transition"] = _parse_transition(transition)
     elif kind == "periodic":
         if block is None:
             raise InputParseError("periodic source needs --block")
-        kwargs["block"] = tuple(s.strip() for s in block.split(","))
+        kwargs["block"] = tuple(map(_token_name, block.split(",")))
     elif kind == "homogeneous":
         if symbol is None:
             raise InputParseError("homogeneous source needs --symbol")
-        kwargs["symbol"] = symbol
+        kwargs["symbol"] = _token_name(symbol, strip=False)
     else:
         if tokens_file is None:
             raise InputParseError("empirical source needs --tokens-file")

@@ -53,8 +53,14 @@ def check_mass(values, what, error=MassOutOfTolerance):
     return mass
 
 
-def _check_chain(initial, transition):
-    """Initial and row masses, and a transition row for every reachable state."""
+def _chain(initial, transition):
+    """Check a Markov chain, and read it once into ``(states, nexts, probs, cuts)``.
+
+    ``states`` are initial's states, then the rows', then their entries'.
+    Row ``i`` of each array is state ``i``'s row as listed, padded with
+    steps of mass 0 that stay put, and the last row is ``initial``.  A row's
+    ``cuts`` are its partial sums short of its last state with mass, then inf.
+    """
     check_mass(initial.values(), "initial")
     for state, row in transition.items():
         check_mass(row.values(), f"transition row for {state!r}", NonStochasticRow)
@@ -68,6 +74,18 @@ def _check_chain(initial, transition):
             if q > 0 and nxt not in reached:
                 reached.add(nxt)
                 pending.append(nxt)
+    states = tuple(dict.fromkeys([*initial, *transition,
+                                  *(t for row in transition.values() for t in row)]))
+    index = {s: i for i, s in enumerate(states)}
+    rows = [transition.get(s, {}) for s in states] + [initial]
+    nexts = np.repeat(np.arange(len(rows))[:, None], max(map(len, rows)), 1)
+    probs, cuts = np.zeros(nexts.shape), np.full(nexts.shape, np.inf)
+    for i, row in enumerate(rows):
+        nexts[i, :len(row)] = [index[t] for t in row]
+        probs[i, :len(row)] = list(row.values())
+        last = max((j for j, q in enumerate(row.values()) if q > 0), default=0)
+        cuts[i, :last] = probs[i, :last].cumsum()
+    return states, nexts, probs, cuts
 
 
 @dataclass(frozen=True)
@@ -299,26 +317,22 @@ def make_markov(initial, transition, length, roles=None, target_role=None):
     """Joint table of a Markov chain: P(x_1..x_m) = pi(x_1) prod A(x_{k-1},x_k)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    _check_chain(initial, transition)
+    states, nexts, steps, _ = _chain(initial, transition)
     if roles is None:
         roles = tuple(f"x{i}" for i in range(1, length + 1))
     alphabet = Alphabet(tuple(sorted(set(initial) | set(transition))))
     index = {s: i for i, s in enumerate(alphabet)}
     # paths grow depth first, in row order, from a root whose row is initial,
     # and stop at mass 0.0, so they stay on reachable states and off the padding
-    rows = [transition.get(s, {}) for s in alphabet] + [initial]
-    width = max(map(len, rows))
-    nexts = np.zeros((len(rows), width), np.int64)
-    steps = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        nexts[i, :len(row)] = [index.get(s, 0) for s in row]
-        steps[i, :len(row)] = list(row.values())
-    codes, probs = np.full((1, 1), len(rows) - 1), np.ones(1)
+    width = steps.shape[1]
+    codes, probs = np.full((1, 1), len(steps) - 1), np.ones(1)
     for _ in range(length):
         probs = (probs[:, None] * steps[codes[:, -1]]).ravel()
         codes = np.column_stack((codes.repeat(width, 0), nexts[codes[:, -1]].ravel()))
         codes, probs = codes[probs != 0.0], probs[probs != 0.0]
-    codes, roles = codes[:, 1:], _distinct(roles)
+    # a state outside the alphabet is a row entry that no path takes
+    codes = np.array([index.get(s, 0) for s in states], np.int64)[codes[:, 1:]]
+    roles = _distinct(roles)
     if len(roles) != length and len(codes):
         key = tuple(alphabet.symbols[c] for c in codes[0].tolist())
         raise _arity_error(key, len(roles))
@@ -342,7 +356,10 @@ def marginalize(model, kept_roles):
 
 @dataclass(frozen=True)
 class SequenceSource:
-    """Generator spec for token sequences (iid/markov/periodic/homogeneous/empirical)."""
+    """Generator spec for token sequences (iid/markov/periodic/homogeneous/empirical).
+
+    A Markov source reads its dicts once, at construction, into ``_markov``.
+    """
 
     kind: str
     marginal: dict | None = None
@@ -352,6 +369,7 @@ class SequenceSource:
     symbol: str | None = None
     tokens: tuple = ()
     seed: int = 0
+    _markov: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     KINDS = ("iid", "markov", "periodic", "homogeneous", "empirical")
 
@@ -366,7 +384,7 @@ class SequenceSource:
         if self.kind == "iid":
             check_mass(self.marginal.values(), "marginal")
         if self.kind == "markov":
-            _check_chain(self.initial, self.transition)
+            object.__setattr__(self, "_markov", _chain(self.initial, self.transition))
         if self.kind == "periodic" and len(self.block) < 1:
             raise ValueError("periodic block must have length >= 1")
         object.__setattr__(self, "block", tuple(self.block))
@@ -476,12 +494,12 @@ def _walk(first, nexts, keys, symbols):
     return _CodedTokens(symbols, path)
 
 
-def _markov_tokens(source, first, u):
-    """Tokens of a Markov walk from ``first``, one step per uniform in ``u``.
+def _markov_tokens(chain, first, u):
+    """Tokens of a walk on ``chain`` from state ``first``, a step per uniform in ``u``.
 
-    Step ``k`` takes the state of ``source``'s row whose interval of the
+    Step ``k`` takes the state of the current row whose interval of the
     row's float64 cumulative sums holds ``u[k]``, as ``searchsorted(side=
-    "right")`` would.  The partial sums stop short of the row's last state
+    "right")`` would; the chain's cuts stop short of the row's last state
     with mass, so a draw past them all takes that state, also when the
     float total ends just below 1.  The cuts of all rows are merged, so a
     uniform's bucket among them fixes the next state from every state, and
@@ -489,40 +507,26 @@ def _markov_tokens(source, first, u):
     short walk, or one on a chain with many dense states, bisects one row
     per step instead; see the comment at the choice.
     """
-    rows = source.transition
-    cumulative = {}
-    for state, row in rows.items():
-        probs = list(row.values())
-        last = max(i for i, q in enumerate(probs) if q > 0)
-        cumulative[state] = np.cumsum(probs[:last])
+    states, nexts, _, cuts = chain
+    nexts, cuts = nexts[:-1], cuts[:-1]  # the rows of states, not initial's
     # timed on dense chains of 3 to 96 states and 1e3 to 2e5 steps: a table
     # cell costs about 1/8 of a bisect step to fill, and the block walk's
     # _BLOCK numpy steps about 8 * _BLOCK bisect steps, so below this length
     # bisecting is faster; the table then also stays below 8 cells per step
-    cuts = symbols = ()
-    if len(u) >= 8 * _BLOCK:
-        cuts = np.unique(np.concatenate(list(cumulative.values())))
-        symbols = list(dict.fromkeys([*source.initial, *rows,
-                                      *(t for row in rows.values() for t in row)]))
-    if len(u) < 8 * _BLOCK + (len(cuts) + 1) * len(symbols) / 8:
-        steps = {s: (list(row), cumulative[s].tolist()) for s, row in rows.items()}
-        out = [first]
-        for x in u.tolist():
-            nexts, row_cuts = steps[out[-1]]
-            out.append(nexts[bisect_right(row_cuts, x)])
-        return out
-    index = {s: i for i, s in enumerate(symbols)}
-    cumulative = {index[s]: c for s, c in cumulative.items()}
-    nexts = {index[s]: [index[t] for t in row] for s, row in rows.items()}
-    # a state without a row is never reached; it stays put, so the guessed
-    # walks of _walk have somewhere to go
-    table = np.tile(np.arange(len(symbols)), (len(cuts) + 1, 1))
-    lows = np.append(-np.inf, cuts)  # the lowest uniform of every bucket
-    for state, c in cumulative.items():
-        table[:, state] = np.array(nexts[state])[np.searchsorted(c, lows, side="right")]
-    keys = _buckets(cuts, u)
-    keys *= len(symbols)
-    return _walk(index[first], table.ravel(), keys, symbols)
+    merged = np.unique(cuts[cuts < np.inf]) if len(u) >= 8 * _BLOCK else ()
+    if len(u) < 8 * _BLOCK + (len(merged) + 1) * len(states) / 8:
+        nexts, cuts, state = nexts.tolist(), cuts.tolist(), first
+        path = [first] + [state := nexts[state][bisect_right(cuts[state], x)]
+                          for x in u.tolist()]
+        return _CodedTokens(states, np.array(path))
+    # a state without a row is never reached; its padding stays put, so the
+    # guessed walks of _walk have somewhere to go
+    lows = np.append(-np.inf, merged)  # the lowest uniform of every bucket
+    table = np.column_stack([row_nexts[np.searchsorted(row_cuts, lows, side="right")]
+                             for row_nexts, row_cuts in zip(nexts, cuts)])
+    keys = _buckets(merged, u)
+    keys *= len(states)
+    return _walk(first, table.ravel(), keys, states)
 
 
 def generate(source, length, seed=None):
@@ -531,10 +535,10 @@ def generate(source, length, seed=None):
     The iid and Markov kinds draw one uniform per token from the source's
     substream (a Markov chain draws its first state with ``rng.choice``):
     an iid token is ``rng.choice(p=marginal)`` of its uniform, and a Markov
-    step takes the next state whose interval of the row's cumulative sums
-    holds it.  Time and memory are linear in ``length``; a length whose
-    tokens, or their uniforms, cannot be allocated raises ResultTooLarge
-    (``errors.allocating``).  The iid kind and a Markov walk in blocks
+    step takes the next state whose interval of the row's cumulative sums,
+    as its source read them at construction, holds it.  Time and memory are
+    linear in ``length``; a length whose tokens, or their uniforms, cannot
+    be allocated raises ResultTooLarge (``errors.allocating``).  Both kinds
     return a list that carries the drawn codes, a :class:`_CodedTokens`.
     """
     if length < 0:
@@ -567,11 +571,11 @@ def generate(source, length, seed=None):
         with allocating(too_large):
             u = rng.random(length)
         return _CodedTokens(symbols, _buckets(cdf, u))
-    states = list(source.initial)
-    first = states[rng.choice(len(states), p=[source.initial[s] for s in states])]
+    _, nexts, probs, _ = source._markov
+    first = int(nexts[-1, rng.choice(len(probs[-1]), p=probs[-1])])
     with allocating(too_large):
         u = rng.random(length - 1)
-    return _markov_tokens(source, first, u)
+    return _markov_tokens(source._markov, first, u)
 
 
 def scramble(sequence, seed):

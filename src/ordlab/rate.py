@@ -62,14 +62,16 @@ class _OrderView(Mapping):
 class NGramTable:
     """Sliding-window block counts for orders 1..max_order, counted lazily.
 
-    The tokens are held as integer codes numbered in order of first
-    occurrence, also when renumbered from the codes a generated list carries;
-    code ``len(vocabulary)`` marks a position past a non-cyclic end.  A
-    chunk of orders packs each window's codes at those orders, behind the
-    rank of its block at the order before the chunk, into one int64 key,
-    and sorts the keys once; an order's blocks are the runs of keys equal
-    in its leading digits.  A chunk is sorted when one of its orders is
-    first asked for, and only the last one sorted is kept.
+    The tokens are held as integer codes into ``vocabulary``: those a
+    generated list carries, as they are, or else codes numbered in order of
+    first occurrence.  No count depends on the numbering, and a symbol that
+    never occurs only leaves a code unused.  Code ``len(vocabulary)`` marks
+    a position past a non-cyclic end.  A chunk of orders packs each
+    window's codes at those orders, behind the rank of its block at the
+    order before the chunk, into one int64 key, and sorts the keys once; an
+    order's blocks are the runs of keys equal in its leading digits.  A
+    chunk is sorted when one of its orders is first asked for, and only the
+    last one sorted is kept.
 
     ``counts`` maps order -> ``Counter`` of token tuples in order of first
     occurrence, and ``total_positions`` maps order -> number of windows.
@@ -87,7 +89,7 @@ class NGramTable:
             # append the wrap-around so every window of every order is a slice
             wrap = codes[:min(self._n, max_order) - 1]
             codes = np.concatenate([codes, wrap])
-        self._codes = codes
+        self._codes = codes.astype(np.int64, copy=False)  # the dtype of the keys
         # the last chunk sorted: [first order, orders, leading ranks or None,
         # sorted keys, XOR of each two adjacent keys, each window's index
         # among the sorted keys once something has asked for it]
@@ -179,20 +181,15 @@ def ngram_counts(sequence, max_order, cyclic=False):
     :class:`NGramTable`).  With ``cyclic=True`` windows wrap around the end
     of the sequence, which makes the counts of a perfectly periodic sequence
     exact rather than edge-biased.  The codes a list from ``generate`` or
-    ``scramble`` carries are renumbered in numpy, not coded token by token.
+    ``scramble`` carries are counted as they are, with the symbols they
+    index; a list without them is coded token by token.
     """
-    symbols, codes = getattr(sequence, "_coded", None) or (None, None)
+    vocabulary, codes = getattr(sequence, "_coded", None) or (None, None)
     if codes is None:
         index = defaultdict()
         index.default_factory = index.__len__  # a new token gets the next code
         codes = np.fromiter(map(index.__getitem__, sequence), np.int64)
         vocabulary = list(index)
-    else:
-        starts = first_rows(codes, len(symbols))
-        order = codes[starts[starts < len(codes)]]  # the symbols that occur
-        renumber = np.zeros(len(symbols), np.int64)
-        renumber[order] = np.arange(len(order))
-        codes, vocabulary = renumber[codes], [symbols[i] for i in order.tolist()]
     if not len(codes):
         raise EmptySequence("cannot count n-grams of an empty sequence")
     if max_order < 1:

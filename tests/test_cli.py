@@ -694,6 +694,21 @@ ERROR_CASES = [
     *((["ring", "simulate", "--config", f"{{{name}}}"], 1, "input_parse_error")
       for name in ("bool_beta", "bool_alpha", "bool_tabulated", "bool_filter",
                    "bool_self_weight", "bool_steps", "bool_ensemble_size", "bool_seed")),
+    # gen joins its tokens with spaces, so a name that is empty or holds
+    # whitespace would not read back
+    *((["gen", "--kind", kind, *fields, "--length", "6"], 1, "input_parse_error")
+      for kind, fields in (
+        ("homogeneous", ["--symbol", "a b"]),
+        ("homogeneous", ["--symbol", ""]),
+        ("homogeneous", ["--symbol", " z"]),
+        ("homogeneous", ["--symbol", "a\tb"]),
+        ("periodic", ["--block", "a,,b"]),
+        ("periodic", ["--block", "a,b c"]),
+        ("iid", ["--marginal", "x y:0.5,z:0.5"]),
+        ("markov", ["--initial", "a:1, :0", "--transition", "a>a:1"]),
+        ("markov", ["--initial", "a:1", "--transition", "a>a:0.5,a>b c:0.5;b c>a:1"]),
+        ("markov", ["--initial", "a:1", "--transition", "a>a:1,>a:1"]),
+    )),
 ]
 
 

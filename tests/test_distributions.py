@@ -539,6 +539,40 @@ class TestBuildersMatchTheTupleLoops:
         assert d.make_joint((), {(): 1.0}).table == {(): 1.0}
 
 
+class TestChainRowsOfPaddingOnly:
+    """States whose rows in a chain are all padding: one in initial at mass 0
+    with no row, and one without a row that only an unreachable state's row
+    leads to."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_builder_and_walks_match_the_references(self, data):
+        states = [f"s{i}" for i in range(data.draw(st.integers(1, 4)))]
+        initial = dict(data.draw(st.permutations(
+            [*_weights(data.draw, states).items(), ("idle", 0.0)])))
+        transition = dict(data.draw(st.permutations(
+            [*((s, _weights(data.draw, states)) for s in states),
+             ("lost", {"void": 0.5, states[-1]: 0.5})])))
+        length = data.draw(st.integers(1, 5))
+        _same_rows(d.make_markov(initial, transition, length),
+                   reference_markov_table(initial, transition, length))
+        source = d.SequenceSource("markov", initial=initial, transition=transition)
+        chain_states, _, probs, _ = source._markov
+        for state in ("idle", "void"):
+            assert not probs[chain_states.index(state)].any()
+        seed = data.draw(st.integers(0, 2**32))
+        for n in (400, BLOCK_LENGTHS[1]):
+            assert d.generate(source, n, seed) == reference_markov_walk(source, n, seed)
+
+    def test_a_source_keeps_the_chain_it_read(self):
+        initial, transition = {"a": 1.0}, {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 1.0}}
+        source = d.SequenceSource("markov", initial=initial, transition=transition)
+        before = [d.generate(source, n, 3) for n in (50, BLOCK_LENGTHS[0])]
+        initial["b"], initial["a"] = 1.0, 0.0
+        transition["a"]["a"] = 1.0
+        assert [d.generate(source, n, 3) for n in (50, BLOCK_LENGTHS[0])] == before
+
+
 class TestTableView:
     @pytest.mark.parametrize("build", [
         lambda: d.make_joint(("a", "b"), {("x", "x"): 0.5, ("x", "y"): 0.5}),

@@ -320,7 +320,7 @@ def coded_sources(draw):
 
 
 # a Markov walk of this many tokens or more on up to 4 states walks the
-# bucket table in blocks, and carries its codes; a shorter one bisects
+# bucket table in blocks; a shorter one bisects
 _BLOCKED = 8 * d._BLOCK + 8
 
 
@@ -333,9 +333,8 @@ class TestCodedTokens:
         for cyclic in (False, True):
             a = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
             b = rate.ngram_counts(plain, max_order, cyclic=cyclic)
-            assert a._vocabulary == b._vocabulary
-            assert a._codes.dtype == b._codes.dtype
-            assert np.array_equal(a._codes, b._codes)
+            for t in (a, b):  # the codes decode, however they are numbered
+                assert [t._vocabulary[c] for c in t._codes[:t._n].tolist()] == plain
             for order in range(1, max_order + 1):
                 assert list(a.counts[order].items()) == list(b.counts[order].items())
                 assert a.total_positions[order] == b.total_positions[order]
@@ -353,8 +352,7 @@ class TestCodedTokens:
     def test_coded_and_plain_lists_give_the_same_results(self, source, length, seed,
                                                          scramble_seed):
         tokens = d.generate(source, length, seed)
-        if source.kind == "iid" or length >= _BLOCKED:
-            assert tokens._coded is not None
+        assert tokens._coded is not None
         self.assert_same_tables(tokens, list(tokens))
         scrambled = d.scramble(tokens, scramble_seed)
         assert scrambled == d.scramble(list(tokens), scramble_seed)
