@@ -295,12 +295,10 @@ def _kernel_from_config(cfg):
 
 def _config_int(cfg, name, default, minimum=None, maximum=None):
     value = cfg.get(name, default)
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool):  # a JSON true is not the number 1
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:  # true, 2.9 and "3" are not integers
         raise InputParseError(f"config {name!r} = {value!r} is not an integer")
+    number = int(value)
     if minimum is not None and number < minimum:
         raise InputParseError(f"config {name!r} = {number} must be >= {minimum}")
     if maximum is not None and number > maximum:
@@ -326,7 +324,7 @@ def ring_simulate_cmd(config_path):
         _config_int(cfg, "steps", 1, minimum=0),
         # ring.evolve keeps its chain counts as int64
         _config_int(cfg, "ensemble_size", 1000, minimum=1, maximum=2**63 - 1),
-        _config_int(cfg, "seed", 0),
+        _config_int(cfg, "seed", 0, minimum=0, maximum=2**64 - 1),
     )
     header = ["step"] + [str(o) for o in ring.ORDERS]
     rows = [
@@ -506,6 +504,14 @@ def _parse_transition(spec):
     return table
 
 
+def _seed(ctx, param, value):
+    # a seed past 64 bits would wrap onto another's draws (_rng.substream); a
+    # callback, unlike click.IntRange, leaves the help text as it was
+    if not 0 <= value < 2**64:
+        raise click.BadParameter(f"{value} is not in the range 0<=x<={2**64 - 1}.")
+    return value
+
+
 @main.command("gen")
 @click.option("--kind", required=True,
               type=click.Choice(list(distributions.SequenceSource.KINDS)))
@@ -517,7 +523,7 @@ def _parse_transition(spec):
 @click.option("--tokens-file", default=None, type=click.Path(exists=True),
               help="empirical token source")
 @click.option("--length", required=True, type=click.IntRange(min=0))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=int, callback=_seed)
 @_output_option
 def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
             length, seed):
@@ -552,7 +558,7 @@ def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
 @main.command("scramble")
 @click.argument("corpus", type=click.Path(exists=True))
 @click.option("--chars", is_flag=True)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=int, callback=_seed)
 @_output_option
 def scramble_cmd(corpus, chars, seed):
     """Uniformly permute the tokens of a corpus."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -391,24 +393,51 @@ class SequenceSource:
         object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
-class _CodedTokens(list):
-    """The tokens ``symbols[c]`` of ``codes``, carrying ``_coded = (symbols, codes)``.
+class _Corpus(Sequence):
+    """An immutable token sequence: the tokens ``symbols[c]`` of read-only ``codes``.
 
-    Any in-place change sets ``_coded`` to None; slices, ``copy()`` and ``+`` are plain
-    lists.  The codes are of the narrowest unsigned dtype that holds len(symbols).
+    The codes are of the narrowest unsigned dtype that holds len(symbols).
+    Tokens are decoded only when read, all in one take when iterated.  A slice
+    is a corpus of the sliced codes.  A corpus equals any list or corpus of
+    the same tokens.
     """
 
+    __slots__ = ("symbols", "codes")
+
     def __init__(self, symbols, codes):
-        super().__init__(np.fromiter(symbols, object, len(symbols))[codes].tolist())
-        self._coded = (symbols, codes.astype(np.min_scalar_type(len(symbols))))
+        object.__setattr__(self, "symbols", tuple(symbols))
+        dtype = np.min_scalar_type(len(self.symbols))
+        object.__setattr__(self, "codes", np.asarray(codes, dtype))
+        self.codes.setflags(write=False)
 
+    @classmethod
+    def of(cls, tokens):
+        """The corpus of any token sequence, its symbols in order of first occurrence."""
+        index = defaultdict()
+        index.default_factory = index.__len__  # a new token gets the next code
+        return cls(index, np.fromiter(map(index.__getitem__, tokens), np.intp))
 
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
-    def _dropping_codes(self, *args, _method=getattr(list, _name), **kwargs):
-        self._coded = None
-        return _method(self, *args, **kwargs)
-    setattr(_CodedTokens, _name, _dropping_codes)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a corpus is immutable; cannot set {name!r}")
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Corpus(self.symbols, self.codes[index])
+        return self.symbols[self.codes[index]]
+
+    def __iter__(self):  # np.array would split tuple symbols into a 2-D array
+        return iter(np.fromiter(self.symbols, object, len(self.symbols))[self.codes].tolist())
+
+    def __eq__(self, other):  # defining it leaves __hash__ None
+        if isinstance(other, (list, _Corpus)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __reduce__(self):
+        return _Corpus, (self.symbols, self.codes)
 
 
 # a Markov walk runs this many steps per block; see _walk
@@ -491,7 +520,7 @@ def _walk(first, nexts, keys, symbols):
             met, j, width = state == guess, end, _BLOCK
         if met:
             state = int(path[stop])
-    return _CodedTokens(symbols, path)
+    return _Corpus(symbols, path)
 
 
 def _markov_tokens(chain, first, u):
@@ -518,7 +547,7 @@ def _markov_tokens(chain, first, u):
         nexts, cuts, state = nexts.tolist(), cuts.tolist(), first
         path = [first] + [state := nexts[state][bisect_right(cuts[state], x)]
                           for x in u.tolist()]
-        return _CodedTokens(states, np.array(path))
+        return _Corpus(states, path)
     # a state without a row is never reached; its padding stays put, so the
     # guessed walks of _walk have somewhere to go
     lows = np.append(-np.inf, merged)  # the lowest uniform of every bucket
@@ -538,8 +567,9 @@ def generate(source, length, seed=None):
     step takes the next state whose interval of the row's cumulative sums,
     as its source read them at construction, holds it.  Time and memory are
     linear in ``length``; a length whose tokens, or their uniforms, cannot
-    be allocated raises ResultTooLarge (``errors.allocating``).  Both kinds
-    return a list that carries the drawn codes, a :class:`_CodedTokens`.
+    be allocated raises ResultTooLarge (``errors.allocating``).  Every kind
+    returns a :class:`_Corpus`: the other kinds code their block, or their
+    one symbol, once and repeat the codes.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -547,30 +577,26 @@ def generate(source, length, seed=None):
         seed = source.seed
     rng = substream(seed, "generate", source.kind)
     if length == 0:
-        return []
+        return _Corpus((), ())
     if source.kind == "empirical" and not source.tokens:
         raise EmptySequence("empirical source has no tokens")
     too_large = f"length = {length}: that many tokens do not fit in memory"
-    if source.kind == "homogeneous":
-        with allocating(too_large):
-            return [source.symbol] * length
-    if source.kind in ("periodic", "empirical"):
-        block = source.tokens
+    if source.kind in ("periodic", "empirical", "homogeneous"):
+        block = (source.symbol,) if source.kind == "homogeneous" else source.tokens
         if source.kind == "periodic":
             offset = int(rng.integers(len(source.block)))
             block = source.block[offset:] + source.block[:offset]
-        with allocating(too_large):
-            out = list(block) * -(-length // len(block))  # whole blocks, then a cut
-        del out[length:]
-        return out
+        block = _Corpus.of(block)
+        with allocating(too_large):  # whole blocks, then a cut
+            codes = np.tile(block.codes, -(-length // len(block)))[:length]
+        return _Corpus(block.symbols, codes)
     if source.kind == "iid":
-        symbols = list(source.marginal)
-        # the cdf and uniforms of rng.choice(len(symbols), length, p=marginal)
+        # the cdf and uniforms of rng.choice(len(marginal), length, p=marginal)
         cdf = np.array(list(source.marginal.values()), np.float64).cumsum()
         cdf /= cdf[-1]
         with allocating(too_large):
             u = rng.random(length)
-        return _CodedTokens(symbols, _buckets(cdf, u))
+        return _Corpus(source.marginal, _buckets(cdf, u))
     _, nexts, probs, _ = source._markov
     first = int(nexts[-1, rng.choice(len(probs[-1]), p=probs[-1])])
     with allocating(too_large):
@@ -583,16 +609,15 @@ def scramble(sequence, seed):
 
     The tokens are shuffled in place by the seed's substream, which makes the
     swaps of ``perm = rng.permutation(n)``: token ``i`` is ``sequence[perm[i]]``.
-    The codes a list carries (:class:`_CodedTokens`) are shuffled instead.
+    A :class:`_Corpus` shuffles an intp copy of its codes instead (8-byte items
+    swap fastest), with the same swaps, and gives a corpus; any other
+    sequence gives a list.
     """
-    rng, coded = substream(seed, "scramble"), getattr(sequence, "_coded", None)
-    if coded is not None:
-        codes = coded[1].astype(np.intp)  # a copy; 8-byte items shuffle fastest
-        rng.shuffle(codes)
-        return _CodedTokens(coded[0], codes)
-    tokens = np.fromiter(sequence, object)  # np.array would split tuple tokens
-    rng.shuffle(tokens)
-    return tokens.tolist()
+    coded = isinstance(sequence, _Corpus)
+    # np.array would split tuple tokens
+    tokens = sequence.codes.astype(np.intp) if coded else np.fromiter(sequence, object)
+    substream(seed, "scramble").shuffle(tokens)
+    return _Corpus(sequence.symbols, tokens) if coded else tokens.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ classifier, power-law decay fitting and the peak-cost functional.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Integral
@@ -20,6 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from ._grouping import first_rows, plugin_entropy
+from .distributions import _Corpus
 from .errors import (
     ArityMismatch,
     DegenerateProfile,
@@ -62,8 +63,8 @@ class _OrderView(Mapping):
 class NGramTable:
     """Sliding-window block counts for orders 1..max_order, counted lazily.
 
-    The tokens are held as integer codes into ``vocabulary``: those a
-    generated list carries, as they are, or else codes numbered in order of
+    The tokens are held as integer codes into ``vocabulary``: a corpus's
+    own (``distributions._Corpus``), or else codes numbered in order of
     first occurrence.  No count depends on the numbering, and a symbol that
     never occurs only leaves a code unused.  Code ``len(vocabulary)`` marks
     a position past a non-cyclic end.  A chunk of orders packs each
@@ -180,21 +181,16 @@ def ngram_counts(sequence, max_order, cyclic=False):
     Nothing is counted here: each order is counted on first use (see
     :class:`NGramTable`).  With ``cyclic=True`` windows wrap around the end
     of the sequence, which makes the counts of a perfectly periodic sequence
-    exact rather than edge-biased.  The codes a list from ``generate`` or
-    ``scramble`` carries are counted as they are, with the symbols they
-    index; a list without them is coded token by token.
+    exact rather than edge-biased.  The codes of a corpus from ``generate``
+    or ``scramble`` are counted as they are, with the symbols they index;
+    any other sequence is coded token by token (``_Corpus.of``).
     """
-    vocabulary, codes = getattr(sequence, "_coded", None) or (None, None)
-    if codes is None:
-        index = defaultdict()
-        index.default_factory = index.__len__  # a new token gets the next code
-        codes = np.fromiter(map(index.__getitem__, sequence), np.int64)
-        vocabulary = list(index)
-    if not len(codes):
+    corpus = sequence if isinstance(sequence, _Corpus) else _Corpus.of(sequence)
+    if not len(corpus):
         raise EmptySequence("cannot count n-grams of an empty sequence")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    return NGramTable(vocabulary, codes, max_order, cyclic)
+    return NGramTable(corpus.symbols, corpus.codes, max_order, cyclic)
 
 
 def block_entropy(table, order):

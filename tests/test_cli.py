@@ -559,6 +559,17 @@ BAD_INPUTS = {
         "entries": [{"tuple": ["a", "a"], "p": 0.25}, {"tuple": ["b", "b"], "p": 0.5},
                     {"tuple": ["a", "a"], "p": 0.25}],
     }),
+    # config integers: a number with a fraction or in a string is not one,
+    # and a seed lies in [0, 2**64)
+    "fractional_steps": json.dumps({"steps": 2.9}),
+    "fractional_ensemble_size": json.dumps({"ensemble_size": 10.5}),
+    "fractional_seed": json.dumps({"seed": 1.5}),
+    "text_number_steps": json.dumps({"steps": "3"}),
+    "text_number_ensemble_size": json.dumps({"ensemble_size": "100"}),
+    "text_number_seed": json.dumps({"seed": "7"}),
+    "negative_seed": json.dumps({"seed": -1}),
+    "seed_over_uint64": json.dumps({"seed": 2**64}),
+    "integral_floats": json.dumps({"steps": 3.0, "ensemble_size": 200.0, "seed": 7.0}),
 }
 
 ERROR_CASES = [
@@ -708,6 +719,16 @@ ERROR_CASES = [
         ("markov", ["--initial", "a:1, :0", "--transition", "a>a:1"]),
         ("markov", ["--initial", "a:1", "--transition", "a>a:0.5,a>b c:0.5;b c>a:1"]),
         ("markov", ["--initial", "a:1", "--transition", "a>a:1,>a:1"]),
+    )),
+    # a config integer has no fraction and is no string; a seed lies in [0, 2**64)
+    *((["ring", "simulate", "--config", f"{{{name}}}"], 1, "input_parse_error")
+      for name in ("fractional_steps", "fractional_ensemble_size", "fractional_seed",
+                   "text_number_steps", "text_number_ensemble_size", "text_number_seed",
+                   "negative_seed", "seed_over_uint64")),
+    (["ring", "simulate", "--config", "{integral_floats}"], 0, None),
+    *(([*argv, "--seed", seed], 2, None) for seed in ("-1", str(2**64)) for argv in (
+        ["gen", "--kind", "homogeneous", "--symbol", "a", "--length", "3"],
+        ["scramble", "{corpus}"],
     )),
 ]
 

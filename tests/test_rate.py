@@ -325,8 +325,8 @@ _BLOCKED = 8 * d._BLOCK + 8
 
 
 class TestCodedTokens:
-    """Generated and scrambled lists carry their codes; results stay those of
-    the plain list of the same tokens."""
+    """Generated and scrambled corpora are their codes (``distributions._Corpus``);
+    results stay those of the plain list of the same tokens."""
 
     @staticmethod
     def assert_same_tables(tokens, plain, max_order=4):
@@ -352,18 +352,36 @@ class TestCodedTokens:
     def test_coded_and_plain_lists_give_the_same_results(self, source, length, seed,
                                                          scramble_seed):
         tokens = d.generate(source, length, seed)
-        assert tokens._coded is not None
+        assert type(tokens) is d._Corpus
         self.assert_same_tables(tokens, list(tokens))
         scrambled = d.scramble(tokens, scramble_seed)
         assert scrambled == d.scramble(list(tokens), scramble_seed)
-        assert type(scrambled) is type(tokens)
+        assert type(scrambled) is d._Corpus
+        assert type(d.scramble(list(tokens), scramble_seed)) is list
         self.assert_same_tables(scrambled, list(scrambled), max_order=2)
+
+    @pytest.mark.parametrize("source", [
+        d.SequenceSource("periodic", block=("a", ("b",), "a", "c")),
+        d.SequenceSource("periodic", block=("x",)),
+        d.SequenceSource("empirical", tokens=("the", "cat", "the", "mat", ("the",))),
+        d.SequenceSource("homogeneous", symbol="a"),
+    ], ids=["periodic", "periodic-one", "empirical", "homogeneous"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 50, 1001])
+    def test_block_sources_count_like_plain_lists(self, source, length):
+        for seed in range(3):
+            tokens = d.generate(source, length, seed)
+            assert type(tokens) is d._Corpus and len(tokens) == length
+            self.assert_same_tables(tokens, list(tokens))
+            scrambled = d.scramble(tokens, seed)
+            assert type(scrambled) is d._Corpus
+            assert scrambled == d.scramble(list(tokens), seed)
+            self.assert_same_tables(scrambled, list(scrambled), max_order=2)
 
     def test_errors_keep_their_order(self):
         tokens = d.generate(d.SequenceSource("iid", marginal={"a": 1.0}), 5)
         with pytest.raises(ValueError, match="max_order"):
             rate.ngram_counts(tokens, 0)
-        empty = d._CodedTokens(["a"], np.zeros(0, np.intp))
+        empty = d._Corpus(["a"], np.zeros(0, np.intp))
         with pytest.raises(EmptySequence):
             rate.ngram_counts(empty, 0)
 
@@ -371,7 +389,7 @@ class TestCodedTokens:
     def generated():
         marginal = {"a": 0.5, "b": 0.25, ("c",): 0.125, "d": 0.125, "z": 0.0}
         tokens = d.generate(d.SequenceSource("iid", marginal=marginal), 300, 4)
-        assert tokens._coded is not None
+        assert type(tokens) is d._Corpus
         return tokens
 
     @pytest.mark.parametrize("mutate", [
@@ -395,17 +413,38 @@ class TestCodedTokens:
             "append", "extend", "insert", "pop", "pop-0", "remove", "clear", "sort",
             "sort-reverse", "reverse"])
     def test_an_in_place_change_drops_the_codes(self, mutate):
+        # a corpus refuses the change; list(corpus) takes it, and counts as
+        # the plain list it is
         tokens = self.generated()
-        plain = list(tokens)
-        mutate(tokens)
+        codes = tokens.codes.copy()
+        with pytest.raises((TypeError, AttributeError)):
+            mutate(tokens)
+        assert np.array_equal(tokens.codes, codes) and tokens == self.generated()
+        edited, plain = list(tokens), list(tokens)
+        mutate(edited)
         mutate(plain)
-        assert tokens == plain and tokens._coded is None
-        assert d.scramble(tokens, 3) == d.scramble(plain, 3)
+        assert type(edited) is list and edited == plain
+        assert d.scramble(edited, 3) == d.scramble(plain, 3)
         if plain:
-            self.assert_same_tables(tokens, plain)
+            self.assert_same_tables(edited, plain)
         else:
             with pytest.raises(EmptySequence):
-                rate.ngram_counts(tokens, 2)
+                rate.ngram_counts(edited, 2)
+
+    def test_the_codes_and_fields_are_read_only(self):
+        tokens = self.generated()
+        assert tokens.codes.dtype == np.uint8 and not tokens.codes.flags.writeable
+        wide = d.generate(d.SequenceSource("iid", marginal={f"w{i}": 1 / 300
+                                                            for i in range(300)}), 50)
+        assert wide.codes.dtype == np.uint16 and wide[3:9].codes.dtype == np.uint16
+        with pytest.raises(ValueError, match="read-only"):
+            tokens.codes[0] = 1
+        for name in ("codes", "symbols", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tokens, name, ())
+        with pytest.raises(TypeError):
+            hash(tokens)
+        assert tokens[::2].codes.flags.writeable is False
 
     @pytest.mark.parametrize("round_trip", [
         *(lambda t, protocol=protocol: pickle.loads(pickle.dumps(t, protocol))
@@ -417,17 +456,62 @@ class TestCodedTokens:
     def test_copies_count_the_same(self, round_trip):
         tokens = self.generated()
         copied = round_trip(tokens)
-        assert copied == tokens
+        assert type(copied) is d._Corpus and copied == tokens
+        assert copied.symbols == tokens.symbols
+        assert np.array_equal(copied.codes, tokens.codes)
+        assert copied.codes.dtype == tokens.codes.dtype
+        assert not copied.codes.flags.writeable
         assert d.scramble(copied, 3) == d.scramble(tokens, 3)
         self.assert_same_tables(copied, list(tokens))
 
-    def test_slices_and_sums_are_plain_lists(self):
+    def test_slices_are_corpora(self):
         tokens = self.generated()
-        for other in (tokens[:], tokens[5:80], tokens[::-1], tokens + tokens,
-                      tokens * 2, tokens.copy()):
-            assert type(other) is list
-        assert tokens._coded is not None
-        self.assert_same_tables(tokens[5:80], list(tokens)[5:80])
+        plain = list(tokens)
+        for key in (slice(None), slice(5, 80), slice(None, None, -1), slice(3, 300, 7),
+                    slice(-40, None), slice(90, 10)):
+            part = tokens[key]
+            assert type(part) is d._Corpus and part == plain[key]
+            if plain[key]:
+                self.assert_same_tables(part, plain[key], max_order=3)
+        assert [tokens[i] for i in range(-300, 300)] == plain + plain
+        for i in (300, -301):
+            with pytest.raises(IndexError):
+                tokens[i]
+        for combine in (lambda t: t + t, lambda t: t * 2, lambda t: t.copy()):
+            with pytest.raises((TypeError, AttributeError)):
+                combine(tokens)
+
+    def test_equality_is_that_of_the_decoded_tokens(self):
+        tokens = self.generated()
+        plain = list(tokens)
+        assert tokens == plain and plain == tokens and tokens == tokens[:]
+        assert not tokens != plain
+        assert tokens != plain[:-1] and tokens != plain + ["a"]
+        assert tokens != tuple(plain)
+        other = d._Corpus.of(plain)  # the same tokens, numbered differently
+        assert other.symbols != tokens.symbols and other == tokens
+        assert d.scramble(tokens, 8) != tokens
+
+    def test_numpy_reads_a_corpus_as_its_list(self):
+        # what the benchmark's oracle does with generated and scrambled corpora
+        source = d.SequenceSource("iid", marginal={"a": 0.5, "bb": 0.25, "ccc": 0.25})
+        for tokens in (d.generate(source, 500, 1), d.scramble(d.generate(source, 9, 2), 3),
+                       d.generate(source, 0)):
+            got, want = np.asarray(tokens), np.asarray(list(tokens))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_iterating_decodes_in_one_take(self, monkeypatch):
+        tokens = self.generated()
+        decoded = [tokens.symbols[c] for c in tokens.codes.tolist()]
+        calls, getitem = [], d._Corpus.__getitem__
+        monkeypatch.setattr(d._Corpus, "__getitem__",
+                            lambda self, i: calls.append(i) or getitem(self, i))
+        assert list(tokens) == decoded and [*tokens] == decoded
+        assert tokens.count("a") == decoded.count("a") and ("c",) in tokens
+        words = d.generate(d.SequenceSource("iid", marginal={"a": 0.5, "bb": 0.5}), 40)
+        assert np.asarray(words).shape == (40,) and " ".join(words).count(" ") == 39
+        assert calls == []
 
 
 class TestExactPeriodic:
