@@ -22,23 +22,14 @@ from .errors import InputParseError, OrdlabError
 from .infotheory import CostTransducer, IDENTITY
 
 
-def _output_option(command):
-    """Declares ``-o/--output``: the command's text goes to that file if given."""
+def _record_output(ctx, param, path):
+    # _DomainErrorGroup.invoke writes there; ctx and param word its usage error
+    if path is not None:
+        ctx.meta["ordlab.output"] = (path, ctx, param)
 
-    @click.option("-o", "--output", type=click.Path(), default=None)
-    @functools.wraps(command)
-    def write(output, **params):
-        text = command(**params)
-        if output is None:
-            return text
-        try:
-            with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise click.BadParameter(f"{output}: {exc.strerror}",
-                                     param_hint="'-o' / '--output'") from None
 
-    return write
+_output_option = click.option("-o", "--output", type=click.Path(), expose_value=False,
+                              callback=_record_output)
 
 
 def _csv_text(header, rows):
@@ -126,9 +117,10 @@ def _model_and_context(model_path, target, order):
 
 
 class _DomainErrorGroup(click.Group):
-    """Prints the text a command returns, the one writer of stdout.
+    """Writes the text a command returns, the one writer of every command's output.
 
-    An OrdlabError from any command becomes exit 1 with a JSON record.
+    The text goes to the command's ``-o`` file if it was given, else to
+    stdout.  An OrdlabError from any command becomes exit 1 with a JSON record.
     """
 
     def invoke(self, ctx):
@@ -138,8 +130,15 @@ class _DomainErrorGroup(click.Group):
             record = {"error": exc.code, "message": str(exc)}
             click.echo(json.dumps(record), err=True)
             sys.exit(1)
-        if text is not None:
+        if "ordlab.output" not in ctx.meta:
             click.echo(text, nl=False)
+            return
+        path, command_ctx, param = ctx.meta["ordlab.output"]
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.BadParameter(f"{path}: {exc.strerror}", command_ctx, param) from None
 
 
 @click.group(cls=_DomainErrorGroup)
@@ -505,11 +504,26 @@ def _parse_transition(spec):
 
 
 def _seed(ctx, param, value):
-    # a seed past 64 bits would wrap onto another's draws (_rng.substream); a
-    # callback, unlike click.IntRange, leaves the help text as it was
+    # exit 2 where _rng.substream would raise ValueError; a callback, unlike
+    # click.IntRange, leaves the help text as it was
     if not 0 <= value < 2**64:
         raise click.BadParameter(f"{value} is not in the range 0<=x<={2**64 - 1}.")
     return value
+
+
+def _distribution(spec):
+    return _read_pairs(spec, ":", "distribution", _token_name)
+
+
+# each SequenceSource field: the gen option that gives it, and that option's reader
+_SOURCE_OPTIONS = {
+    "marginal": ("--marginal", _distribution),
+    "initial": ("--initial", _distribution),
+    "transition": ("--transition", _parse_transition),
+    "block": ("--block", lambda spec: tuple(map(_token_name, spec.split(",")))),
+    "symbol": ("--symbol", functools.partial(_token_name, strip=False)),
+    "tokens": ("--tokens-file", lambda path: tuple(ingest_corpus(path))),
+}
 
 
 @main.command("gen")
@@ -520,37 +534,19 @@ def _seed(ctx, param, value):
 @click.option("--transition", default=None, help='markov rows, e.g. "a>b:1,b>a:1"')
 @click.option("--block", default=None, help='periodic block, e.g. "a,b,c"')
 @click.option("--symbol", default=None, help="homogeneous symbol")
-@click.option("--tokens-file", default=None, type=click.Path(exists=True),
+@click.option("--tokens-file", "tokens", default=None, type=click.Path(exists=True),
               help="empirical token source")
 @click.option("--length", required=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int, callback=_seed)
 @_output_option
-def gen_cmd(kind, marginal, initial, transition, block, symbol, tokens_file,
-            length, seed):
+def gen_cmd(kind, length, seed, **specs):
     """Emit a whitespace-joined token sequence from a seeded source."""
-    kwargs = {"kind": kind, "seed": seed}
-    if kind == "iid":
-        if marginal is None:
-            raise InputParseError("iid source needs --marginal")
-        kwargs["marginal"] = _read_pairs(marginal, ":", "distribution", _token_name)
-    elif kind == "markov":
-        if initial is None or transition is None:
-            raise InputParseError("markov source needs --initial and --transition")
-        kwargs["initial"] = _read_pairs(initial, ":", "distribution", _token_name)
-        kwargs["transition"] = _parse_transition(transition)
-    elif kind == "periodic":
-        if block is None:
-            raise InputParseError("periodic source needs --block")
-        kwargs["block"] = tuple(map(_token_name, block.split(",")))
-    elif kind == "homogeneous":
-        if symbol is None:
-            raise InputParseError("homogeneous source needs --symbol")
-        kwargs["symbol"] = _token_name(symbol, strip=False)
-    else:
-        if tokens_file is None:
-            raise InputParseError("empirical source needs --tokens-file")
-        kwargs["tokens"] = tuple(ingest_corpus(tokens_file))
-    source = distributions.SequenceSource(**kwargs)
+    fields = distributions.SequenceSource.FIELDS[kind]
+    if any(specs[name] is None for name in fields):
+        options = " and ".join(_SOURCE_OPTIONS[name][0] for name in fields)
+        raise InputParseError(f"{kind} source needs {options}")
+    read = {name: _SOURCE_OPTIONS[name][1](specs[name]) for name in fields}
+    source = distributions.SequenceSource(kind, seed=seed, **read)
     tokens = distributions.generate(source, length, seed)
     return " ".join(tokens) + "\n"
 

@@ -27,13 +27,11 @@ class DependencyLandscape:
 
     def min_positions(self):
         best = min(self.costs)
-        tol = 1e-12 * max(1.0, abs(best))
-        return frozenset(p + 1 for p, c in enumerate(self.costs) if c <= best + tol)
+        return frozenset(p + 1 for p, c in enumerate(self.costs) if c == best)
 
     def max_positions(self):
         worst = max(self.costs)
-        tol = 1e-12 * max(1.0, abs(worst))
-        return frozenset(p + 1 for p, c in enumerate(self.costs) if c >= worst - tol)
+        return frozenset(p + 1 for p, c in enumerate(self.costs) if c == worst)
 
 
 def _check_args(m, transducer, head_pos=1):

@@ -358,7 +358,7 @@ def marginalize(model, kept_roles):
 
 @dataclass(frozen=True)
 class SequenceSource:
-    """Generator spec for token sequences (iid/markov/periodic/homogeneous/empirical).
+    """Generator spec for token sequences; ``FIELDS`` names the fields each kind reads.
 
     A Markov source reads its dicts once, at construction, into ``_markov``.
     """
@@ -373,14 +373,15 @@ class SequenceSource:
     seed: int = 0
     _markov: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    KINDS = ("iid", "markov", "periodic", "homogeneous", "empirical")
+    FIELDS = {"iid": ("marginal",), "markov": ("initial", "transition"),
+              "periodic": ("block",), "homogeneous": ("symbol",),
+              "empirical": ("tokens",)}
+    KINDS = tuple(FIELDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        needs = {"iid": ("marginal",), "markov": ("initial", "transition"),
-                 "homogeneous": ("symbol",)}.get(self.kind, ())
-        missing = [name for name in needs if getattr(self, name) is None]
+        missing = [name for name in self.FIELDS[self.kind] if getattr(self, name) is None]
         if missing:
             raise ValueError(f"{self.kind} source needs {' and '.join(missing)}")
         if self.kind == "iid":

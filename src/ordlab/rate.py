@@ -90,7 +90,7 @@ class NGramTable:
             # append the wrap-around so every window of every order is a slice
             wrap = codes[:min(self._n, max_order) - 1]
             codes = np.concatenate([codes, wrap])
-        self._codes = codes.astype(np.int64, copy=False)  # the dtype of the keys
+        self._codes = codes  # narrow: _keys ORs them into int64 keys
         # the last chunk sorted: [first order, orders, leading ranks or None,
         # sorted keys, XOR of each two adjacent keys, each window's index
         # among the sorted keys once something has asked for it]

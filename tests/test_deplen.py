@@ -100,6 +100,12 @@ class TestLandscape:
         assert land.min_positions() == {2, 3}
         assert land.max_positions() == {1, 4}
 
+    def test_positions_are_exact_ties(self):
+        # costs one apart at 1e12 are distinct, however close their ratio is
+        land = deplen.DependencyLandscape(3, (10**12 + 1, 10**12, 10**12 + 1), True)
+        assert land.min_positions() == {2}
+        assert land.max_positions() == {1, 3}
+
     @pytest.mark.parametrize("m", [1, 0, -3])
     def test_short_sequence_rejected(self, m):
         with pytest.raises(PositionOutOfRange):

@@ -412,6 +412,35 @@ class TestScramble:
         assert d.scramble(tokens, 5) == d.scramble(tokens, 5)
 
 
+# each of these would draw another seed's stream: -1 that of 2**64 - 1, 2**64
+# that of 0, and 1.9, True and "1" that of 1
+ALIASING_SEEDS = [-1, 2**64, 1.9, True, 1.0, "1", np.float64(1.0)]
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", ALIASING_SEEDS)
+    def test_generate_refuses_a_seed_that_aliases_another(self, seed):
+        source = d.SequenceSource("iid", marginal={"a": 0.5, "b": 0.5})
+        with pytest.raises(ValueError, match="seed"):
+            d.generate(source, 10, seed)
+        with pytest.raises(ValueError, match="seed"):
+            d.generate(d.SequenceSource("homogeneous", symbol="a", seed=seed), 0)
+
+    @pytest.mark.parametrize("seed", ALIASING_SEEDS)
+    def test_scramble_refuses_a_seed_that_aliases_another(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            d.scramble(list("abc"), seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_numpy_integers_draw_what_ints_draw(self, seed):
+        source = d.SequenceSource("iid", marginal={"a": 0.5, "b": 0.5})
+        tokens = d.generate(source, 50, seed)
+        assert d.generate(source, 50, np.uint64(seed)) == tokens
+        assert d.scramble(tokens, np.uint64(seed)) == d.scramble(tokens, seed)
+        if seed < 2**63:
+            assert d.generate(source, 50, np.int64(seed)) == tokens
+
+
 class TestModelFile:
     def test_round_trip_bit_exact(self, tmp_path):
         import numpy as np

@@ -333,6 +333,9 @@ class TestCodedTokens:
         for cyclic in (False, True):
             a = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
             b = rate.ngram_counts(plain, max_order, cyclic=cyclic)
+            if isinstance(tokens, d._Corpus) and not cyclic:  # counted as they are
+                assert a._codes.dtype == tokens.codes.dtype
+                assert np.shares_memory(a._codes, tokens.codes)
             for t in (a, b):  # the codes decode, however they are numbered
                 assert [t._vocabulary[c] for c in t._codes[:t._n].tolist()] == plain
             for order in range(1, max_order + 1):

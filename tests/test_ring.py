@@ -320,6 +320,17 @@ class TestEvolve:
         traj = ring.evolve(kernel, "SOV", 3, 97, seed=1)
         assert np.allclose(traj.frequencies.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, True, 1.0, "1"])
+    def test_refuses_a_seed_that_aliases_another(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ring.evolve(ring.RingKernel(), "SOV", 3, 97, seed)
+
+    def test_numpy_integer_seeds_draw_what_ints_draw(self):
+        kernel = ring.RingKernel(decay_param=1.0)
+        traj = ring.evolve(kernel, "SOV", 3, 97, 2**64 - 1)
+        again = ring.evolve(kernel, "SOV", 3, 97, np.uint64(2**64 - 1))
+        assert (traj.frequencies == again.frequencies).all()
+
 
 class TestReferenceData:
     def test_language_counts(self):
