@@ -93,15 +93,15 @@ def ideal_lengths(probabilities):
 def optimal_lengths(probabilities, allow_full_reduction=False):
     """Shannon code lengths: l = ceil(-log2 p) per type.
 
-    These satisfy the Kraft inequality and come within one symbol of the
-    entropy, but are not always the minimum mean length (for p = (0.9, 0.1)
-    they give (1, 4), Huffman gives (1, 1)).  Without the full-reduction
-    flag, lengths are floored at 1 (non-singular coding).
+    ``math.log2`` is exact on powers of two, so these satisfy the Kraft
+    inequality and come within one symbol of the entropy, but are not
+    always the minimum mean length (for p = (0.9, 0.1) they give (1, 4),
+    Huffman gives (1, 1)).  Without the full-reduction flag, lengths are
+    floored at 1 (non-singular coding).
     """
     lengths = []
     for ideal in ideal_lengths(probabilities):
-        # guard against float noise pushing an exact integer over the ceiling
-        length = math.ceil(ideal - 1e-9)
+        length = math.ceil(ideal)
         if not allow_full_reduction:
             length = max(1, length)
         lengths.append(max(0, length))
@@ -194,7 +194,7 @@ def abbreviation_check(table):
         tau = kendall_tau(pairs)
     except AllTied:
         return AbbreviationVerdict(True, None, True)
-    return AbbreviationVerdict(tau <= 1e-12, tau, False)
+    return AbbreviationVerdict(tau <= 0.0, tau, False)
 
 
 def kraft_sum(lengths):

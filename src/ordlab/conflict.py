@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deplen
-from .infotheory import TIE_TOLERANCE, _optimum_set, uncertainty_profile
+from .infotheory import _optimum_set, uncertainty_profile
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class AsymmetryVerdict:
     """extreme_is_worst_for_dlm always holds; the converse is checked.
 
     ``center_is_worst_for_uncertainty`` is None (not applicable) when the
-    uncertainty column is flat, i.e. the dependents carry no information
-    about the head.
+    uncertainty column is flat, i.e. every position ties with the least
+    uncertainty: the dependents carry no information about the head.
     """
 
     extreme_is_worst_for_dlm: bool
@@ -91,7 +91,7 @@ def asymmetry_check(model, context_order, target=None):
     report = conflict_report(model, context_order, target)
     worst_dep = max(report.dep_costs)
     extreme_worst = report.dep_costs[0] == worst_dep == report.dep_costs[-1]
-    if max(report.uncertainties) - min(report.uncertainties) <= TIE_TOLERANCE:
+    if len(_optimum_set(report.uncertainties, maximize=False)) == report.m:
         return AsymmetryVerdict(extreme_worst, None)
     _, centers = deplen.min_dependency_sum(report.m)
     worst_unc = _optimum_set(report.uncertainties, maximize=True, start=1)

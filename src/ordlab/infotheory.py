@@ -6,10 +6,12 @@ model computed when it grouped its table by the entropy's roles.  The model
 memoises entropies by role set (:meth:`JointSequenceModel.entropy
 <ordlab.distributions.JointSequenceModel.entropy>`), so a permuted context
 costs one dict lookup.  Predictability I(Y; C) = H(Y) - H(Y | C) is taken
-from the uncertainty values.  Placements are full argmin/argmax *sets* under
-one 1e-9 tie rule (``_optimum_set``, also used by :mod:`ordlab.conflict`);
+from the uncertainty values.  Placements are full argmin/argmax *sets*;
 they are invariant under strictly monotone cost transducers, which is
-checked rather than assumed.
+checked rather than assumed.  Every tie between computed entropies reads
+``TIE_TOLERANCE`` at call time: ``_optimum_set`` (placement; conflict's
+optimum, worst and flat columns), ``is_markov_equality``, the CMI clamp,
+``EntropyProfile.is_monotone`` and :func:`ordlab.rate.uid_classify`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
 )
 
 TIE_TOLERANCE = 1e-9
-CMI_CLAMP = 1e-12
 
 
 def entropy(model, roles):
@@ -62,7 +63,7 @@ def mutual_information(model, target_role, context_roles):
 
 
 def conditional_mutual_information(model, target_role, new_role, given_roles):
-    """I(target; new | given), clamped to 0 when within -1e-12 of it."""
+    """I(target; new | given); a value within TIE_TOLERANCE below 0 reads 0.0."""
     given = tuple(given_roles)
     names = [target_role, new_role, *given]
     if len(set(names)) != len(names):
@@ -70,21 +71,19 @@ def conditional_mutual_information(model, target_role, new_role, given_roles):
     value = conditional_entropy(model, target_role, given) - conditional_entropy(
         model, target_role, given + (new_role,)
     )
-    if -CMI_CLAMP <= value < 0.0:
+    if -TIE_TOLERANCE <= value < 0.0:
         return 0.0
     return value
 
 
 def is_markov_equality(model, target_role, new_role, given_roles):
-    """True iff conditioning on ``new_role`` adds nothing: CMI <= 1e-9.
+    """True iff conditioning on ``new_role`` adds nothing: CMI <= TIE_TOLERANCE.
 
     Holds exactly when new_role, the given roles and the target form a
     Markov chain.
     """
-    return (
-        conditional_mutual_information(model, target_role, new_role, given_roles)
-        <= TIE_TOLERANCE
-    )
+    cmi = conditional_mutual_information(model, target_role, new_role, given_roles)
+    return cmi <= TIE_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +94,10 @@ def is_markov_equality(model, target_role, new_role, given_roles):
 class EntropyProfile:
     """Per-context-size entropy values in bits.
 
-    ``values[i]`` corresponds to a context of the first ``i`` roles.
-    Uncertainty profiles are non-increasing and predictability profiles
-    non-decreasing; exact computations enforce this (``strict=True``),
-    estimated profiles may carry noise and skip the check.
+    ``values[i]`` corresponds to a context of the first ``i`` roles, and
+    every value is finite.  Uncertainty profiles are non-increasing and
+    predictability profiles non-decreasing; exact computations enforce this
+    (``strict=True``), estimated profiles may carry noise and skip the check.
     """
 
     values: tuple[float, ...]
@@ -109,6 +108,8 @@ class EntropyProfile:
         object.__setattr__(self, "values", tuple(self.values))
         if self.kind not in ("uncertainty", "predictability", "rate"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"{self.kind} profile holds a nan or infinite value")
         if self.strict and not self.is_monotone():
             raise ValueError(f"{self.kind} profile violates monotonicity")
 
@@ -176,13 +177,9 @@ def optimal_target_placement(model, context_order, objective, target=None):
     The returned set always contains i = n: placing the target last is
     always optimal.
     """
-    if objective == "uncertainty":
-        profile = uncertainty_profile(model, context_order, target)
-        return _optimum_set(profile.values, maximize=False)
-    if objective == "predictability":
-        profile = predictability_profile(model, context_order, target)
-        return _optimum_set(profile.values, maximize=True)
-    raise ValueError(f"unknown objective {objective!r}")
+    return optimal_placement_with_transducer(
+        model, context_order, objective, _UNTRANSDUCED.get(objective), target
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +283,9 @@ def _interpolate(xs, ys, x):
 
 
 IDENTITY = CostTransducer("identity")
+# untransduced costs: -x + 0.0 is exact, and -0.0 == 0.0 keeps every tie
+_UNTRANSDUCED = {"uncertainty": IDENTITY,
+                 "predictability": CostTransducer("affine", (-1.0, 0.0))}
 
 
 def optimal_placement_with_transducer(model, context_order, objective, transducer,
@@ -310,5 +310,4 @@ def optimal_placement_with_transducer(model, context_order, objective, transduce
         profile = predictability_profile(model, context_order, target)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    costs = [transducer(v) for v in profile.values]
-    return _optimum_set(costs, maximize=False)
+    return _optimum_set(transducer._each(profile.values), maximize=False)

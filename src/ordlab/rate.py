@@ -19,6 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import infotheory
 from ._grouping import first_rows, plugin_entropy
 from .distributions import _Corpus
 from .errors import (
@@ -28,10 +29,8 @@ from .errors import (
     InsufficientData,
     allocating,
 )
-from .infotheory import EntropyProfile, entropy
 
 GAMMA_GRID = np.arange(0.05, 1.5 + 1e-9, 0.005)
-UID_TOLERANCE = 1e-9
 
 
 class _OrderView(Mapping):
@@ -239,11 +238,11 @@ def conditional_entropy_profile(table, coverage_cap=0.2):
             with allocating(f"max_order = {table.max_order}: a profile of that many "
                             "orders does not fit in memory"):
                 values += [0.0] * (table.max_order - order)
-                return EntropyProfile(values, "rate", strict=False)
+                return infotheory.EntropyProfile(values, "rate", strict=False)
         blocks = n_blocks
     if not values:
         raise InsufficientData("sequence too short for any conditional estimate")
-    return EntropyProfile(values, "rate", strict=False)
+    return infotheory.EntropyProfile(values, "rate", strict=False)
 
 
 def exact_periodic_profile(period, depth):
@@ -255,7 +254,7 @@ def exact_periodic_profile(period, depth):
     if period < 1:
         raise ValueError("period must be >= 1")
     values = [math.log2(period)] + [0.0] * (depth - 1)
-    return EntropyProfile(values, "rate", strict=False)
+    return infotheory.EntropyProfile(values, "rate", strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +296,9 @@ def uid_classify(model):
     """Classify a joint model as full_uid / strong_uid / neither.
 
     strong: every supported sequence has constant conditional probabilities
-    along its positions, up to a spread of ``UID_TOLERANCE``.  full: strong,
-    and the support is the whole Cartesian product of the per-position
-    alphabets.
+    along its positions, up to a spread of ``infotheory.TIE_TOLERANCE`` (read
+    at call time).  full: strong, and the support is the whole Cartesian
+    product of the per-position alphabets.
     """
     if not model.roles:
         raise ArityMismatch("a model without roles has no conditional probabilities")
@@ -325,7 +324,7 @@ def uid_classify(model):
             worst = float(spreads[row])
             offender = tuple(model.alphabets[r].symbols[c]
                              for r, c in zip(model.roles, model._codes[row].tolist()))
-    if worst > UID_TOLERANCE:
+    if worst > infotheory.TIE_TOLERANCE:
         return UidClassification("neither", worst, offender)
     cardinality = math.prod(len(model.alphabets[r]) for r in model.roles)
     full_support = len(group.mass) == cardinality
@@ -419,7 +418,7 @@ def model_rate_profile(model):
     values = []
     previous = 0.0
     for i in range(1, len(model.roles) + 1):
-        h_block = entropy(model, model.roles[:i])
+        h_block = infotheory.entropy(model, model.roles[:i])
         values.append(h_block - previous)
         previous = h_block
-    return EntropyProfile(values, "rate", strict=False)
+    return infotheory.EntropyProfile(values, "rate", strict=False)

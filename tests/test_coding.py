@@ -54,7 +54,17 @@ class TestOptimalLengths:
             probs = random_probs(seed, 6)
             lengths = coding.optimal_lengths(probs, allow_full_reduction=True)
             for p, l in zip(probs, lengths):
-                assert l == math.ceil(-math.log2(p) - 1e-9)
+                assert l == math.ceil(-math.log2(p))
+
+    def test_ideal_just_above_an_integer_rounds_up(self):
+        # -log2 0.49999999999 is 1 + 2.9e-11: rounding that down to 1 gives
+        # a Kraft sum above 1 and a mean length below the entropy
+        probs = (0.49999999999, 0.49999999999, 0.00000000002)
+        lengths = coding.optimal_lengths(probs)
+        assert lengths == (2, 2, 36)
+        assert coding.kraft_sum(lengths) <= 1.0
+        table = coding.TypeTable(probs, lengths)
+        assert coding.mean_length(table) >= entropy(probs)
 
 
 class TestKraftAndBounds:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import random_joint_model
+from ordlab import conflict, rate
 from ordlab import distributions as d
 from ordlab import infotheory as it
 from ordlab.errors import (
@@ -199,6 +200,12 @@ class TestProfiles:
         with pytest.raises(NotAPermutation):
             it.uncertainty_profile(m, ("x2", "x2"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["uncertainty", "predictability", "rate"])
+    def test_non_finite_value_refused(self, kind, bad):
+        with pytest.raises(ValueError, match="nan or infinite"):
+            it.EntropyProfile([1.0, bad, 0.5], kind, strict=False)
+
 
 class TestPlacement:
     def test_iid_all_tie(self):
@@ -218,6 +225,14 @@ class TestPlacement:
     def test_strictly_decreasing(self, and_model):
         got = it.optimal_target_placement(and_model, ("x1", "x2"), "uncertainty")
         assert got == frozenset({2})
+
+    @pytest.mark.parametrize("place", [
+        it.optimal_target_placement,
+        lambda *a: it.optimal_placement_with_transducer(*a, it.IDENTITY),
+    ])
+    def test_unknown_objective(self, and_model, place):
+        with pytest.raises(ValueError, match="unknown objective"):
+            place(and_model, ("x1", "x2"), "surprisal")
 
     def test_last_position_always_optimal(self):
         for seed in range(50):
@@ -248,6 +263,41 @@ class TestTieBoundary:
         assert placement(values) == frozenset({1, 2})
         moved = (values[0], math.nextafter(values[1], beyond), values[2])
         assert placement(moved) == frozenset({2})
+
+
+class TestOneTolerance:
+    """Every tie between computed entropies follows TIE_TOLERANCE at call time."""
+
+    UID_MODEL = d.make_markov(
+        {"a": 1}, {"a": {"a": 0.8, "b": 0.2}, "b": {"a": 0.5, "b": 0.5}}, 2
+    )
+
+    def verdicts(self, model):
+        return (
+            it.optimal_target_placement(model, ("x1", "x2"), "uncertainty"),
+            it.optimal_target_placement(model, ("x1", "x2"), "predictability"),
+            conflict.asymmetry_check(model, ("x1", "x2")).center_is_worst_for_uncertainty,
+            rate.uid_classify(self.UID_MODEL).verdict,
+            it.is_markov_equality(model, "y", "x2", ("x1",)),
+        )
+
+    def test_every_tie_follows_the_tolerance(self, monkeypatch, and_model):
+        assert self.verdicts(and_model) == ({2}, {2}, False, "neither", False)
+        monkeypatch.setattr(it, "TIE_TOLERANCE", 2.0)
+        assert self.verdicts(and_model) == (
+            {0, 1, 2}, {0, 1, 2}, None, "strong_uid", True
+        )
+
+    def test_cmi_clamp_follows_the_tolerance(self, monkeypatch, and_model):
+        # H(y | x1) = 0.5 and a stubbed H(y | x1, x2) = 2.0: a CMI of -1.5
+        real = it.conditional_entropy
+        monkeypatch.setattr(
+            it, "conditional_entropy",
+            lambda m, t, c: 2.0 if len(c) == 2 else real(m, t, c),
+        )
+        assert it.conditional_mutual_information(and_model, "y", "x2", ("x1",)) == -1.5
+        monkeypatch.setattr(it, "TIE_TOLERANCE", 2.0)
+        assert it.conditional_mutual_information(and_model, "y", "x2", ("x1",)) == 0.0
 
 
 INCREASING = [
