@@ -18,6 +18,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -398,9 +399,9 @@ class _Corpus(Sequence):
     """An immutable token sequence: the tokens ``symbols[c]`` of read-only ``codes``.
 
     The codes are of the narrowest unsigned dtype that holds len(symbols).
-    Tokens are decoded only when read, all in one take when iterated.  A slice
-    is a corpus of the sliced codes.  A corpus equals any list or corpus of
-    the same tokens.
+    Tokens are decoded only when read, 2**16 codes at a time when iterated.
+    A slice is a corpus of the sliced codes.  A corpus equals any list or
+    corpus of the same tokens.
     """
 
     __slots__ = ("symbols", "codes")
@@ -430,7 +431,9 @@ class _Corpus(Sequence):
         return self.symbols[self.codes[index]]
 
     def __iter__(self):  # np.array would split tuple symbols into a 2-D array
-        return iter(np.fromiter(self.symbols, object, len(self.symbols))[self.codes].tolist())
+        symbols, codes = np.fromiter(self.symbols, object, len(self.symbols)), self.codes
+        return chain.from_iterable(symbols[codes[i:i + 65536]].tolist()
+                                   for i in range(0, len(codes), 65536))
 
     def __eq__(self, other):  # defining it leaves __hash__ None
         if isinstance(other, (list, _Corpus)):

@@ -2,6 +2,8 @@ import copy
 import math
 import operator
 import pickle
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -72,17 +74,21 @@ def token_sequences(draw):
 def chunk_edge_cases(draw):
     """(sequence, max_order, cyclic) with orders on both sides of a chunk edge.
 
-    A table sorts 63 // bits orders at a time, one key per window, where a
-    code takes bits = V.bit_length() bits: code V marks a position past a
+    A table sorts its orders in chunks, one key per window, where a code
+    takes bits = V.bit_length() bits: code V marks a position past a
     non-cyclic end, so a vocabulary of 2**b symbols needs one bit more than
     one of 2**b - 1.  Vocabularies of 2**b - 1, 2**b and 2**b + 1 symbols
-    put V on both sides of that, and max_order runs from one below the last
-    order of the first chunk to two past it, so the next chunk, led by the
-    rank of each window's block, is counted too.  Cyclic orders may pass
-    the sequence length.  A repeated motif keeps long blocks repeating.
+    put V on both sides of that.  The first chunk holds 31 // bits orders
+    as 32-bit keys until an order past them is asked for, and then 63 //
+    bits orders as 64-bit keys, so the edge is drawn from both: max_order
+    runs from one below the last order of that first chunk to two past it,
+    so the chunk sorted again, or the next one, led by the rank of each
+    window's block, is counted too.  Cyclic orders may pass the sequence
+    length.  A repeated motif keeps long blocks repeating.
     """
     vocabulary = 2 ** draw(st.integers(1, 5)) + draw(st.integers(-1, 1))
-    per_chunk = 63 // vocabulary.bit_length()
+    bits = vocabulary.bit_length()
+    per_chunk = draw(st.sampled_from([31 // bits, 63 // bits]))
     max_order = draw(st.integers(per_chunk - 1, per_chunk + 2))
     n = draw(st.integers(vocabulary, max(vocabulary, per_chunk) + 8))
     if draw(st.booleans()):
@@ -235,25 +241,77 @@ class TestLazyCounting:
     # table._chunk is the last chunk of orders sorted: [first order, number
     # of orders, leading ranks, sorted keys, key XORs, window places].
     # Chunks are sorted in order, so none past the one it holds has been
-    # sorted.
+    # sorted.  The first chunk holds the orders whose codes fit 31 bits, as
+    # 32-bit keys, if there are two or more, until an order past them is
+    # asked for; then orders 1.. are sorted again, 63 bits' worth.
 
     def test_profile_counts_no_order_past_its_stop(self):
-        # 40 distinct tokens, 10 orders per chunk: order 2 breaks the cap
+        # 40 distinct tokens, 5 orders in the 32-bit chunk: order 2 breaks
+        # the cap
         table = rate.ngram_counts([f"t{i}" for i in range(40)], 30)
         assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
-        assert table._chunk[:2] == [1, 10]
+        assert table._chunk[:2] == [1, 5]
         # 3 tokens: orders 4.. have no window left
         table = rate.ngram_counts("abc", 100)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 3
-        assert table._chunk[:2] == [1, 31]
-        # 40 tokens of 2 kinds, 31 orders in the first chunk: the second,
-        # led by ranks of at most 6 bits, holds orders 32..59 and order 40,
-        # the last with a window
+        assert table._chunk[:2] == [1, 15]
+        # 40 tokens of 2 kinds, 31 orders in the 64-bit first chunk: the
+        # second, led by ranks of at most 6 bits, holds orders 32..59 and
+        # order 40, the last with a window
         table = rate.ngram_counts("ab" * 13 + "a" * 14, 100)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 40
         assert table._chunk[:2] == [32, 28]
+
+    def test_capped_profile_sorts_only_the_32_bit_chunk(self):
+        # 200 symbols take 8 bits: 3 orders a 32-bit key, and order 2 of 10^4
+        # iid tokens breaks the cap
+        source = d.SequenceSource("iid", marginal={f"w{i}": 1 / 200 for i in range(200)})
+        table = rate.ngram_counts(d.generate(source, 10_000, seed=1), 6)
+        assert len(rate.conditional_entropy_profile(table, coverage_cap=0.2)) == 1
+        assert table._chunk[:2] == [1, 3]
+        assert table._chunk[3].dtype == np.int32
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_profile_past_the_32_bit_chunk_sorts_orders_again(self, cyclic):
+        rng = np.random.default_rng(3)
+        sequence = [f"w{c}" for c in rng.permutation(200)]
+        sequence += [f"w{c}" for c in rng.integers(0, 20, 400)]
+        counts, _ = reference_ngram_counts(sequence, 5, cyclic)
+        table = rate.ngram_counts(sequence, 5, cyclic=cyclic)
+        assert list(table.counts[3].items()) == list(counts[3].items())
+        assert table._chunk[:2] == [1, 3] and table._chunk[3].dtype == np.int32
+        profile = rate.conditional_entropy_profile(table, coverage_cap=None)
+        # 5 orders of 8 bits: the 63-bit first chunk, holding every order
+        assert table._chunk[:2] == [1, 5] and table._chunk[3].dtype == np.int64
+        assert list(profile.values) == reference_profile(sequence, 5, cyclic, None)
+        for order in counts:
+            assert list(table.counts[order].items()) == list(counts[order].items())
+        assert table._chunk[:2] == [1, 5]
+
+    def test_40000_symbols_keep_the_64_bit_first_chunk(self):
+        # 16 bits a code: 31 bits hold one order, so the first chunk holds
+        # 63 // 16 = 3 orders from the start, and order 2 sorts nothing again
+        table = rate.ngram_counts([f"t{i}" for i in range(40_000)], 6)
+        assert rate.block_entropy(table, 1) == pytest.approx(math.log2(40_000))
+        assert table._chunk[:2] == [1, 3] and table._chunk[3].dtype == np.int64
+        keys = table._chunk[3]
+        assert len(rate.conditional_entropy_profile(table)) == 1
+        assert table._chunk[3] is keys
+
+    def test_uint32_codes_count_like_the_reference(self):
+        sequence = [f"t{i}" for i in range(70_000)] + [f"t{i}" for i in range(0, 900, 3)]
+        for max_order in (1, 4):  # one order fits a 32-bit key
+            table = rate.ngram_counts(sequence, max_order)
+            assert table._codes.dtype == np.uint32
+            counts, _ = reference_ngram_counts(sequence, max_order, False)
+            for order in counts:
+                assert list(table.counts[order].items()) == list(counts[order].items())
+            profile = rate.conditional_entropy_profile(table, coverage_cap=None)
+            assert list(profile.values) == reference_profile(sequence, max_order,
+                                                             False, None)
+        assert table._chunk[:2] == [4, 1]
 
     def test_cyclic_profile_counts_up_to_its_fixpoint(self):
         # order 2 has as many blocks as order 1: nothing past it is counted
@@ -262,13 +320,13 @@ class TestLazyCounting:
         assert len(profile) == 200_000
         assert profile.values[0] == math.log2(3)
         assert set(profile.values[1:]) == {0.0}
-        assert table._chunk[:2] == [1, 31]
+        assert table._chunk[:2] == [1, 15]
         # 7 tokens whose 7 cyclic 3-blocks all differ: order 4 shows that
         # they stopped splitting
         table = rate.ngram_counts("aabacbb", 50, cyclic=True)
         profile = rate.conditional_entropy_profile(table, coverage_cap=None)
         assert len(profile) == 50
-        assert table._chunk[:2] == [1, 31]
+        assert table._chunk[:2] == [1, 15]
 
     def test_unigram_view_in_first_occurrence_order(self):
         table = rate.ngram_counts("banana", 5)
@@ -292,10 +350,10 @@ class TestLazyCounting:
         assert 0 not in table.counts and 10**12 + 1 not in table.total_positions
         with pytest.raises(KeyError):
             table.counts[10**12 + 1]
-        # the profile sorts one chunk: one key per window, 31 orders a key
+        # the profile sorts one chunk: one key per window, 15 orders a key
         assert len(rate.conditional_entropy_profile(table, coverage_cap=None)) == 5
         first, orders, lead, keys, xor, place = table._chunk
-        assert (first, orders, lead, place) == (1, 31, None, None)
+        assert (first, orders, lead, place) == (1, 15, None, None)
         assert (len(keys), len(xor)) == (5, 4)
 
 
@@ -504,17 +562,35 @@ class TestCodedTokens:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
 
-    def test_iterating_decodes_in_one_take(self, monkeypatch):
+    def test_iterating_decodes_in_slices(self, monkeypatch):
         tokens = self.generated()
         decoded = [tokens.symbols[c] for c in tokens.codes.tolist()]
+        # two full slices of 2**16 codes and part of a third
+        long = d.generate(d.SequenceSource("iid", marginal={"a": 0.5, ("b",): 0.5}),
+                          2 * 65536 + 5, 1)
+        long_decoded = [long.symbols[c] for c in long.codes.tolist()]
+        tail = long[65536:]
         calls, getitem = [], d._Corpus.__getitem__
         monkeypatch.setattr(d._Corpus, "__getitem__",
                             lambda self, i: calls.append(i) or getitem(self, i))
         assert list(tokens) == decoded and [*tokens] == decoded
+        assert list(long) == long_decoded and list(tail) == long_decoded[65536:]
         assert tokens.count("a") == decoded.count("a") and ("c",) in tokens
         words = d.generate(d.SequenceSource("iid", marginal={"a": 0.5, "bb": 0.5}), 40)
         assert np.asarray(words).shape == (40,) and " ".join(words).count(" ") == 39
         assert calls == []
+
+    def test_iterating_builds_no_array_as_large_as_the_corpus(self):
+        tokens = d.generate(d.SequenceSource("iid", marginal={"a": 0.5, "b": 0.5}),
+                            10**6, 2)
+        tracemalloc.start()
+        try:
+            decoded = list(tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(decoded) == 10**6
+        assert peak <= 1.25 * sys.getsizeof(decoded)
 
 
 class TestExactPeriodic:
