@@ -56,8 +56,8 @@ class TypeTable:
 class ContextTable:
     """Per-(context block, target) probability and length.
 
-    ``entries`` maps (context tuple, target) to (probability, length).
-    Unseen context/target combinations carry zero mass and are omitted.
+    ``entries`` maps (context tuple, target) to (probability, length), read
+    once, at construction; unseen combinations carry zero mass and are omitted.
     """
 
     entries: dict[tuple[tuple, str], tuple[float, int]]
@@ -65,21 +65,25 @@ class ContextTable:
     allow_full_reduction: bool = False
 
     def __post_init__(self):
-        for (context, _), _ in self.entries.items():
+        terms = {}
+        for (context, y), (p, l) in self.entries.items():
             if len(context) != self.context_order:
                 raise ArityMismatch("context arity mismatch")
+            terms.setdefault(y, []).append((p * l, p))
         check_mass((p for p, _ in self.entries.values()), "context table")
         _check_floor((l for _, l in self.pairs()), self.allow_full_reduction)
+        object.__setattr__(self, "_sums", {  # y: (L_n(y), p(y)), each rounded once
+            y: tuple(map(math.fsum, zip(*t))) for y, t in terms.items()})
 
     def pairs(self):
         """(probability, length) per (context, target) entry."""
         return self.entries.values()
 
     def targets(self):
-        return sorted({y for (_, y) in self.entries})
+        return sorted(self._sums)
 
     def target_mass(self, y):
-        return math.fsum(p for (_, t), (p, _) in self.entries.items() if t == y)
+        return self._sums[y][1] if y in self._sums else 0.0
 
 
 def ideal_lengths(probabilities):
@@ -115,19 +119,17 @@ def mean_length(table):
 
 def per_target_length(table, y):
     """L_n(y): the y-slice of the contextual mean length."""
-    if y not in {t for (_, t) in table.entries}:
+    if y not in table._sums:
         raise UnknownTarget(f"target {y!r} not present in the table")
-    return math.fsum(
-        p * l for (_, t), (p, l) in table.entries.items() if t == y
-    )
+    return table._sums[y][0]
 
 
 def renormalized_length(table, y):
     """M_n(y) = L_n(y) / p(y), the mean length of y across its contexts."""
-    mass = table.target_mass(y)
+    length, mass = per_target_length(table, y), table.target_mass(y)
     if mass <= 0:
         raise ZeroTargetMass(f"target {y!r} has zero total mass")
-    return per_target_length(table, y) / mass
+    return length / mass
 
 
 def _tied_pairs(values):
@@ -205,7 +207,8 @@ def kraft_sum(lengths):
 def report(types, probabilities, contexts, lengths=None, allow_full_reduction=False):
     """Data rows (context, type, p, length, ideal length) and summary rows.
 
-    Each context is a tuple, () in a plain table; missing lengths are optimal.
+    Each context is a tuple, () in a plain table; missing lengths are the
+    Shannon lengths of ``optimal_lengths``.
     Summary: L, or L_n then L_n(y), M_n(y) per sorted target; tau, verdict.
     """
     check_mass(probabilities, "coding table")

@@ -256,6 +256,12 @@ class TestContextTable:
         with pytest.raises(UnknownTarget):
             coding.per_target_length(CONTEXT, "z")
 
+    def test_absent_target_is_unknown_to_renormalized_length(self):
+        # an absent target has no mass, but it is unknown before it is massless
+        assert CONTEXT.target_mass("z") == 0.0
+        with pytest.raises(UnknownTarget):
+            coding.renormalized_length(CONTEXT, "z")
+
     def test_zero_target_mass(self):
         table = coding.ContextTable(
             {(("a",), "x"): (1.0, 1), (("a",), "y"): (0.0, 3)}, context_order=1
@@ -296,6 +302,63 @@ class TestContextTable:
         )
         assert coding.mean_length(shared) == coding.mean_length(plain)
         assert coding.abbreviation_check(shared) == coding.abbreviation_check(plain)
+
+
+def scan_length(entries, y):
+    """L_n(y) by a scan of every entry."""
+    return math.fsum(p * l for (_, t), (p, l) in entries.items() if t == y)
+
+
+def scan_mass(entries, y):
+    """p(y) by a scan of every entry."""
+    return math.fsum(p for (_, t), (p, _) in entries.items() if t == y)
+
+
+@st.composite
+def contextual_tables(draw):
+    """(types, probabilities, contexts, lengths or None) of a contextual table.
+
+    One or two context columns; the first row's target, "yew", sorts after
+    every other target and has one context only; the other rows come in
+    any order, and each of their targets is seen in one context or more.
+    """
+    order = draw(st.integers(1, 2))
+    contexts = draw(st.lists(st.tuples(*[st.sampled_from("abc")] * order),
+                             min_size=1, max_size=4, unique=True))
+    cells = [(contexts[0], "yew")]
+    for y in draw(st.lists(st.sampled_from(["ash", "elm", "fir", "oak"]), unique=True)):
+        seen = draw(st.lists(st.sampled_from(contexts), min_size=1, unique=True))
+        cells += [(c, y) for c in seen]
+    cells[1:] = draw(st.permutations(cells[1:]))
+    weights = draw(st.lists(st.integers(1, 50), min_size=len(cells), max_size=len(cells)))
+    probs = [w / sum(weights) for w in weights]
+    lengths = draw(st.none() | st.lists(st.integers(1, 8), min_size=len(cells),
+                                        max_size=len(cells)))
+    return [y for _, y in cells], probs, [c for c, _ in cells], lengths
+
+
+class TestPerTargetSumsAgainstScans:
+    """L_n(y), p(y) and M_n(y) equal per-entry fsum scans, bit for bit."""
+
+    @given(contextual_tables(), st.booleans())
+    def test_report_and_table_match_the_scans(self, table_rows, allow_full_reduction):
+        types, probs, contexts, lengths = table_rows
+        rows, summary = coding.report(types, probs, contexts, lengths,
+                                      allow_full_reduction)
+        entries = {(c, y): (p, l) for c, y, p, l in
+                   zip(contexts, types, probs, (row[3] for row in rows))}
+        table = coding.ContextTable(entries, len(contexts[0]), allow_full_reduction)
+        targets = sorted(set(types))
+        assert table.targets() == targets
+        want = []
+        for y in targets:
+            length, mass = scan_length(entries, y), scan_mass(entries, y)
+            assert coding.per_target_length(table, y) == length
+            assert table.target_mass(y) == mass
+            assert coding.renormalized_length(table, y) == length / mass
+            want += [("L_n_y", y, length), ("M_n_y", y, length / mass)]
+        assert summary[1:-2] == want
+        assert table.target_mass("absent") == scan_mass(entries, "absent") == 0.0
 
 
 class TestIdealLengths:
