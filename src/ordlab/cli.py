@@ -97,7 +97,7 @@ def _word_order(name):
         ) from None
 
 
-def ingest_corpus(path, chars=False):
+def _ingest_corpus(path, chars=False):
     """Read a UTF-8 text file into whitespace tokens, or characters with ``chars``."""
     text = _read_text(path)
     if chars:
@@ -272,16 +272,16 @@ def _kernel_from_config(cfg):
     if not isinstance(decay, dict):
         raise InputParseError(f"bad kernel config: decay {decay!r} is not an object")
     kind = decay.get("kind", "exponential")
+    # the one key beside "kind" that each kind reads; RingKernel refuses other kinds
+    name = dict(exponential="beta", inverse_power="alpha", tabulated="weights").get(str(kind))
     try:
-        if kind == "exponential":
-            param = decay.get("beta", 1.0)
-        elif kind == "inverse_power":
-            param = decay.get("alpha", 1.0)
-        else:
-            weights = decay.get("weights", {})
-            if not isinstance(weights, dict):
-                raise ValueError(f"tabulated weights {weights!r} are not an object")
-            param = {int(k): v for k, v in weights.items()}
+        if name and (unknown := decay.keys() - {"kind", name}):
+            raise ValueError(f"decay kind {kind!r} reads no key {min(unknown)!r}")
+        param = decay.get(name, {} if name == "weights" else 1.0)
+        if name == "weights" and isinstance(param, dict):  # RingKernel refuses the rest
+            weights, param = param, {int(k): v for k, v in param.items()}
+            if len(param) < len(weights) or not param.keys() <= {1, 2, 3}:
+                raise ValueError("tabulated weights need the keys 1, 2 and 3, once each")
         return ring.RingKernel(
             decay_kind=kind,
             decay_param=param,
@@ -316,6 +316,9 @@ def ring_simulate_cmd(config_path):
         raise InputParseError(f"{config_path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputParseError(f"{config_path}: config must be a JSON object")
+    if unknown := cfg.keys() - {"decay", "filters", "self_weight", "start", "steps",
+                                "ensemble_size", "seed"}:
+        raise InputParseError(f"{config_path}: unknown config key {min(unknown)!r}")
     kernel = _kernel_from_config(cfg)
     trajectory = ring.evolve(
         kernel,
@@ -373,7 +376,7 @@ def _corpus_profile(command):
                        " 0 disables.")
     @functools.wraps(command)
     def read(corpus, chars, max_order, cyclic, coverage_cap, **params):
-        tokens = ingest_corpus(corpus, chars)
+        tokens = _ingest_corpus(corpus, chars)
         table = rate.ngram_counts(tokens, max_order, cyclic=cyclic)
         cap = None if coverage_cap <= 0 else coverage_cap
         profile = rate.conditional_entropy_profile(table, coverage_cap=cap)
@@ -410,7 +413,7 @@ def rate_uid_cmd(model_path, text_path):
     if result.offending_sequence is None:
         del record["offending_sequence"]
     if text_path is not None:
-        record["sequence_spread"] = rate.uid_spread(ingest_corpus(text_path), model)
+        record["sequence_spread"] = rate.uid_spread(_ingest_corpus(text_path), model)
     return json.dumps(record) + "\n"
 
 
@@ -444,6 +447,8 @@ def coding_cmd(input_path, allow_full_reduction):
     reader = csv.DictReader(io.StringIO(_read_text(input_path), newline=""))
     if reader.fieldnames is None:
         raise InputParseError("empty coding table")
+    if len(set(reader.fieldnames)) < len(reader.fieldnames):  # DictReader keeps the last
+        raise InputParseError(f"coding table header {reader.fieldnames} repeats a name")
     has_length = "length" in reader.fieldnames
     rows = list(reader)
     if not rows:
@@ -522,7 +527,7 @@ _SOURCE_OPTIONS = {
     "transition": ("--transition", _parse_transition),
     "block": ("--block", lambda spec: tuple(map(_token_name, spec.split(",")))),
     "symbol": ("--symbol", functools.partial(_token_name, strip=False)),
-    "tokens": ("--tokens-file", lambda path: tuple(ingest_corpus(path))),
+    "tokens": ("--tokens-file", lambda path: tuple(_ingest_corpus(path))),
 }
 
 
@@ -558,7 +563,7 @@ def gen_cmd(kind, length, seed, **specs):
 @_output_option
 def scramble_cmd(corpus, chars, seed):
     """Uniformly permute the tokens of a corpus."""
-    return " ".join(distributions.scramble(ingest_corpus(corpus, chars), seed)) + "\n"
+    return " ".join(distributions.scramble(_ingest_corpus(corpus, chars), seed)) + "\n"
 
 
 if __name__ == "__main__":

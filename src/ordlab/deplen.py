@@ -34,11 +34,9 @@ class DependencyLandscape:
         return frozenset(p + 1 for p, c in enumerate(self.costs) if c == worst)
 
 
-def _check_args(m, transducer, head_pos=1):
+def _check_args(m, transducer):
     if m < 2:
         raise PositionOutOfRange(f"sequence length m={m} must be >= 2")
-    if not 1 <= head_pos <= m:
-        raise PositionOutOfRange(f"head position {head_pos} not in 1..{m}")
     if transducer.direction != "increasing":
         raise NonMonotoneTransducer("edge-cost transducer must be increasing")
 
@@ -74,17 +72,6 @@ def _costs(m, values, positions):
     return costs
 
 
-def dependency_cost(m, head_pos, transducer=IDENTITY):
-    """Sum of g(|head_pos - d|) over the other positions d, for an increasing g.
-
-    The exact sum of the m - 1 terms, rounded once to a float unless every
-    term is an int: ``landscape(m, transducer).costs[head_pos - 1]``.
-    """
-    _check_args(m, transducer, head_pos)
-    far = max(head_pos - 1, m - head_pos)
-    return _costs(m, transducer._each(range(1, far + 1)), (head_pos,))[0]
-
-
 def min_dependency_sum(m):
     """Closed-form minimum: D = (m^2 - m mod 2) / 4 at the center position(s)."""
     _check_args(m, IDENTITY)
@@ -118,13 +105,12 @@ def _is_quasi_convex(costs):
 def landscape(m, transducer=IDENTITY):
     """Full per-position cost list with an exhaustive quasi-convexity check.
 
-    Equals ``dependency_cost`` at every position.  The transducer's map is
-    applied once per distance, g(1) .. g(m - 1), in that order.  Each cost
-    is the exact sum of its terms: an integer when every edge cost is an
-    int, else the exact sum of the edge costs as floats, rounded once to a
-    float, so mirror positions have equal costs, bit for bit.  The m - 1 edge costs
-    are allocated in one step, so an m too large for memory raises
-    ResultTooLarge at once instead of growing.
+    The transducer's map is applied once per distance, g(1) .. g(m - 1), in
+    that order.  Each cost is the exact sum of its terms: an integer when
+    every edge cost is an int, else the exact sum of the edge costs as
+    floats, rounded once to a float, so mirror positions have equal costs,
+    bit for bit.  The m - 1 edge costs are allocated in one step, so an m
+    too large for memory raises ResultTooLarge at once instead of growing.
     """
     _check_args(m, transducer)
     with allocating(f"m = {m}: {m - 1} edge costs do not fit in memory"):

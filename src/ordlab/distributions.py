@@ -38,7 +38,7 @@ from .errors import (
     allocating,
 )
 
-MASS_TOLERANCE = 1e-12
+_MASS_TOLERANCE = 1e-12
 
 
 def check_mass(values, what, error=MassOutOfTolerance):
@@ -51,7 +51,7 @@ def check_mass(values, what, error=MassOutOfTolerance):
         if v < 0:
             raise NegativeProbability(f"{what} has a negative probability {v!r}")
     mass = math.fsum(values)
-    if not abs(mass - 1.0) <= MASS_TOLERANCE:  # also rejects nan
+    if not abs(mass - 1.0) <= _MASS_TOLERANCE:  # also rejects nan
         raise error(f"{what} mass {mass!r} not within 1e-12 of 1")
     return mass
 
@@ -643,14 +643,23 @@ def model_to_json(model):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _array(value):  # a JSON string is no array, though tuple() would split it
+    if not isinstance(value, list):
+        raise InputParseError(f"bad model document: {value!r} is not an array")
+    return tuple(value)
+
+
 def model_from_json(text):
     try:
         doc = json.loads(text)
-        roles = tuple(doc["roles"])
-        alphabets = {r: Alphabet(tuple(doc["alphabets"][r])) for r in roles}
-        table = {tuple(e["tuple"]): e["p"] for e in doc["entries"]}
+        roles = _array(doc["roles"])
+        alphabets = {r: Alphabet(_array(doc["alphabets"][r])) for r in roles}
+        table = {tuple(t) if isinstance(t := e["tuple"], list) else _array(t): e["p"]
+                 for e in doc["entries"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"bad model document: {exc!r}") from None
+    if unknown := doc.keys() - {"roles", "alphabets", "entries", "target"}:
+        raise InputParseError(f"bad model document: unknown key {min(unknown)!r}")
     for p in table.values():
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise InputParseError(f"bad model document: p = {p!r} is not a number")

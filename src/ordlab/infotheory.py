@@ -32,23 +32,15 @@ from .errors import (
 TIE_TOLERANCE = 1e-9
 
 
-def entropy(model, roles):
-    """Shannon entropy H (bits) of the marginal over ``roles``.
-
-    Memoised in the model by the set of ``roles``: see the module docstring.
-    """
-    return model.entropy(roles)
-
-
 def conditional_entropy(model, target_role, context_roles):
     """H(target | context) = H(target, context) - H(context), exact."""
     context = tuple(context_roles)
     if target_role in context:
         raise RoleOverlap(f"target {target_role!r} also appears in the context")
     if not context:
-        return entropy(model, (target_role,))
-    joint = entropy(model, (target_role,) + context)
-    return joint - entropy(model, context)
+        return model.entropy((target_role,))
+    joint = model.entropy((target_role,) + context)
+    return joint - model.entropy(context)
 
 
 def mutual_information(model, target_role, context_roles):
@@ -57,7 +49,7 @@ def mutual_information(model, target_role, context_roles):
     if not context:
         model.role_index(target_role)
         return 0.0
-    return entropy(model, (target_role,)) - conditional_entropy(
+    return model.entropy((target_role,)) - conditional_entropy(
         model, target_role, context
     )
 

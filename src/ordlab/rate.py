@@ -425,7 +425,7 @@ def model_rate_profile(model):
     values = []
     previous = 0.0
     for i in range(1, len(model.roles) + 1):
-        h_block = infotheory.entropy(model, model.roles[:i])
+        h_block = model.entropy(model.roles[:i])
         values.append(h_block - previous)
         previous = h_block
     return infotheory.EntropyProfile(values, "rate", strict=False)

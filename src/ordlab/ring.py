@@ -294,13 +294,9 @@ TOTAL_LANGUAGES = 5252
 TOTAL_FAMILIES = 366
 
 
-def dominant_language_total():
-    return sum(row.language_count for row in REFERENCE.values())
-
-
 def reference_distribution():
     """Table counts renormalized over the six dominant orders."""
-    total = dominant_language_total()
+    total = sum(row.language_count for row in REFERENCE.values())
     return {o: REFERENCE[o].language_count / total for o in ORDERS}
 
 

@@ -39,7 +39,7 @@ def test_01_dependency_closed_forms():
     with criterion(1, "dependency closed forms, m = 2..64"):
         start = time.perf_counter()
         for m in range(2, 65):
-            costs = {p: deplen.dependency_cost(m, p) for p in range(1, m + 1)}
+            costs = dict(enumerate(deplen.landscape(m).costs, 1))
             max_value = max(costs.values())
             min_value = min(costs.values())
             assert max_value == m * (m - 1) // 2

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -570,6 +571,34 @@ BAD_INPUTS = {
     "negative_seed": json.dumps({"seed": -1}),
     "seed_over_uint64": json.dumps({"seed": 2**64}),
     "integral_floats": json.dumps({"steps": 3.0, "ensemble_size": 200.0, "seed": 7.0}),
+    # a model's roles, alphabets and tuples are arrays, and it has no other keys
+    "roles_string": json.dumps({
+        "roles": "xy", "alphabets": {"x": "ab", "y": "ab"},
+        "entries": [{"tuple": "aa", "p": 0.5}, {"tuple": "bb", "p": 0.5}], "target": "y",
+    }),
+    "alphabet_string": json.dumps({
+        "roles": ["x", "y"], "alphabets": {"x": ["a", "b"], "y": "ab"},
+        "entries": [{"tuple": ["a", "a"], "p": 0.5}, {"tuple": ["b", "b"], "p": 0.5}],
+        "target": "y",
+    }),
+    "tuple_string": json.dumps({
+        "roles": ["x", "y"], "alphabets": {"x": ["a", "b"], "y": ["a", "b"]},
+        "entries": [{"tuple": ["a", "a"], "p": 0.5}, {"tuple": "bb", "p": 0.5}],
+    }),
+    "misspelt_target": json.dumps({
+        "roles": ["x", "y"], "alphabets": {"x": ["a", "b"], "y": ["a", "b"]},
+        "entries": [{"tuple": ["a", "a"], "p": 0.5}, {"tuple": ["b", "b"], "p": 0.5}],
+        "taget": "y",
+    }),
+    # a ring simulate config holds only the keys it reads
+    "misspelt_steps": json.dumps({"step": 3, "ensemble_size": 100, "seed": 1}),
+    "unread_decay_key": json.dumps({"decay": {"kind": "inverse_power", "beta": 3}}),
+    "tabulated_distance_4": json.dumps({"decay": {
+        "kind": "tabulated", "weights": {"1": 1.0, "2": 0.5, "3": 0.1, "4": 0.05}}}),
+    "tabulated_repeated_distance": json.dumps({"decay": {
+        "kind": "tabulated", "weights": {"1": 1.0, "01": 0.9, "2": 0.5, "3": 0.1}}}),
+    # csv.DictReader would keep the last of two equal column names
+    "repeated_column": "type,probability,ctx1,ctx1\na,0.5,x,y\nb,0.5,x,y\n",
 }
 
 ERROR_CASES = [
@@ -730,6 +759,12 @@ ERROR_CASES = [
         ["gen", "--kind", "homogeneous", "--symbol", "a", "--length", "3"],
         ["scramble", "{corpus}"],
     )),
+    *((["placement", "--model", f"{{{name}}}"], 1, "input_parse_error")
+      for name in ("roles_string", "alphabet_string", "tuple_string", "misspelt_target")),
+    *((["ring", "simulate", "--config", f"{{{name}}}"], 1, "input_parse_error")
+      for name in ("misspelt_steps", "unread_decay_key", "tabulated_distance_4",
+                   "tabulated_repeated_distance")),
+    (["coding", "--input", "{repeated_column}"], 1, "input_parse_error"),
 ]
 
 
@@ -887,6 +922,80 @@ def test_fuzzed_numbers_keep_the_error_contract(argv, tmp_path):
     assert "Traceback" not in result.stdout + result.stderr
     if result.exit_code == 1:
         assert set(json.loads(result.stderr)) == {"error", "message"}
+
+
+def _golden_objects(option):
+    """{path: JSON object} of every readable golden input given to ``option``."""
+    golden = GOLDEN_INPUTS.parent
+    objects = {}
+    for case in json.loads((golden / "cases.json").read_text(encoding="utf-8")):
+        for flag, value in zip(case["argv"], case["argv"][1:]):
+            if flag == option and (golden / value).is_file():
+                try:
+                    doc = json.loads((golden / value).read_text(encoding="utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    continue
+                if isinstance(doc, dict):
+                    objects[value] = doc
+    return objects
+
+
+_MODELS, _CONFIGS = _golden_objects("--model"), _golden_objects("--config")
+
+
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+@st.composite
+def _json_shape_mutations(draw):
+    """A golden model file or ring config, as an argv and a document, with one fault.
+
+    A model gets one array (its roles, a role's alphabet or an entry's
+    tuple) turned into the string of its joined items, or one unknown key;
+    a config gets one unknown key, at the top level or inside its decay.
+    """
+    if draw(st.booleans()):
+        doc = copy.deepcopy(_MODELS[draw(st.sampled_from(sorted(_MODELS)))])
+        alphabets, entries = doc.get("alphabets"), doc.get("entries")
+        arrays = [(doc, "roles")] if _strings(doc.get("roles")) else []
+        if isinstance(alphabets, dict) and isinstance(doc.get("roles"), list):
+            arrays += [(alphabets, r) for r in doc["roles"]
+                       if isinstance(r, str) and _strings(alphabets.get(r))]
+        if isinstance(entries, list):
+            arrays += [(e, "tuple") for e in entries
+                       if isinstance(e, dict) and _strings(e.get("tuple"))]
+        if arrays and draw(st.booleans()):
+            container, key = draw(st.sampled_from(arrays))
+            container[key] = "".join(container[key])
+        else:
+            doc[draw(st.sampled_from(["taget", "Roles", "entry", "steps", ""]))] = "y"
+        return ["rate", "uid", "--model"], doc
+    doc = copy.deepcopy(_CONFIGS[draw(st.sampled_from(sorted(_CONFIGS)))])
+    decay = doc.get("decay")
+    if isinstance(decay, dict) and draw(st.booleans()):
+        kind = decay.get("kind", "exponential")
+        reads = {"exponential": "beta", "inverse_power": "alpha"}.get(kind, "weights")
+        key = draw(st.sampled_from(["beta", "alpha", "weights", "Kind", "steps", ""])
+                   .filter(lambda k: k != reads))
+        decay[key] = 1.0
+    else:
+        doc[draw(st.sampled_from(["step", "taget", "Seed", "weights", "kind", ""]))] = 3
+    return ["ring", "simulate", "--config"], doc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_json_shape_mutations())
+def test_fuzzed_json_shapes_are_parse_errors(case, tmp_path):
+    argv, doc = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = CliRunner().invoke(main, [*argv, str(path)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.stdout + result.stderr
+    assert json.loads(result.stderr)["error"] == "input_parse_error"
 
 
 class TestRuntimeDependencies:

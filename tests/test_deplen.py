@@ -12,39 +12,36 @@ SQUARE = CostTransducer("power", (2.0,))
 
 class TestDependencySum:
     def test_central_m3(self):
-        assert deplen.dependency_cost(3, 2) == 2
+        assert deplen.landscape(3).costs[1] == 2
 
     def test_extreme_m5(self):
-        assert deplen.dependency_cost(5, 1) == 10
+        assert deplen.landscape(5).costs[0] == 10
 
     def test_minimal_pair(self):
-        assert deplen.dependency_cost(2, 1) == 1
+        assert deplen.landscape(2).costs[0] == 1
 
     def test_position_out_of_range(self):
         with pytest.raises(PositionOutOfRange):
-            deplen.dependency_cost(3, 0)
-        with pytest.raises(PositionOutOfRange):
-            deplen.dependency_cost(3, 4)
-        with pytest.raises(PositionOutOfRange):
-            deplen.dependency_cost(1, 1)
+            deplen.landscape(1)
 
     @pytest.mark.parametrize("m", range(2, 20))
     def test_reflection_symmetry(self, m):
+        costs = deplen.landscape(m).costs
         for p in range(1, m + 1):
-            assert deplen.dependency_cost(m, p) == deplen.dependency_cost(m, m + 1 - p)
+            assert costs[p - 1] == costs[m - p]
 
 
 class TestDependencyCost:
     def test_square_center(self):
-        assert deplen.dependency_cost(3, 2, SQUARE) == 2
+        assert deplen.landscape(3, SQUARE).costs[1] == 2
 
     def test_square_extreme(self):
-        assert deplen.dependency_cost(3, 1, SQUARE) == 5
+        assert deplen.landscape(3, SQUARE).costs[0] == 5
 
     def test_decreasing_transducer_rejected(self):
         g = CostTransducer("affine", (-1.0, 0.0))
         with pytest.raises(NonMonotoneTransducer):
-            deplen.dependency_cost(3, 1, g)
+            deplen.landscape(3, g)
 
 
 class TestClosedForms:
@@ -60,7 +57,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("m", range(2, 65))
     def test_closed_forms_vs_enumeration(self, m):
-        costs = {p: deplen.dependency_cost(m, p) for p in range(1, m + 1)}
+        costs = dict(enumerate(deplen.landscape(m).costs, 1))
         min_value = min(costs.values())
         max_value = max(costs.values())
         min_positions = {p for p, c in costs.items() if c == min_value}

@@ -45,22 +45,22 @@ def brute_force_mutual_information(model, target, context):
 class TestEntropy:
     def test_fair_coin(self):
         m = d.make_iid({"a": 0.5, "b": 0.5}, 2)
-        assert it.entropy(m, ("x1",)) == 1.0
+        assert m.entropy(("x1",)) == 1.0
 
     def test_point_mass(self):
         m = d.make_iid({"a": 1.0}, 2)
-        assert it.entropy(m, ("x1",)) == 0.0
+        assert m.entropy(("x1",)) == 0.0
 
     def test_deterministic_model_has_positive_zero_entropy(self):
         m = d.make_joint(("y", "x1"), {("a", "b"): 1.0})
         for roles in (("y",), ("x1",), ("y", "x1")):
-            h = it.entropy(m, roles)
+            h = m.entropy(roles)
             assert h == 0.0
             assert math.copysign(1.0, h) == 1.0
 
     def test_dyadic_three_symbols(self):
         m = d.make_iid({"a": 0.5, "b": 0.25, "c": 0.25}, 1)
-        assert it.entropy(m, ("x1",)) == pytest.approx(1.5, abs=1e-12)
+        assert m.entropy(("x1",)) == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_order_of_a_role_set_gives_the_same_bits(self, seed):
@@ -72,22 +72,22 @@ class TestEntropy:
                         for p in itertools.permutations(subset)}
                 assert len(bits) == 1
                 for order in itertools.permutations(subset):
-                    assert it.entropy(model, order).hex() in bits
+                    assert model.entropy(order).hex() in bits
 
     def test_a_memo_hit_still_checks_roles(self):
         model = random_joint_model(1)
-        h = it.entropy(model, ("y", "x1"))
-        assert it.entropy(model, iter(("x1", "y"))) == h
-        assert it.entropy(model, ("x1", "y", "x1")) == h
+        h = model.entropy(("y", "x1"))
+        assert model.entropy(iter(("x1", "y"))) == h
+        assert model.entropy(("x1", "y", "x1")) == h
         for roles in (("x1", "nope"), ("y", "x1", "nope"), ("nope",)):
             with pytest.raises(UnknownRole):
-                it.entropy(model, roles)
+                model.entropy(roles)
 
 
 class TestConditionalEntropy:
     def test_iid_context_is_irrelevant(self):
         m = d.make_iid({"a": 0.3, "b": 0.7}, 3)
-        h = it.entropy(m, ("x1",))
+        h = m.entropy(("x1",))
         assert it.conditional_entropy(m, "x1", ("x2", "x3")) == pytest.approx(
             h, abs=1e-12
         )
@@ -163,7 +163,7 @@ class TestProfiles:
     def test_iid_uncertainty_constant(self):
         m = d.make_iid({"a": 0.3, "b": 0.7}, 4, target_role="x1")
         prof = it.uncertainty_profile(m, ("x2", "x3", "x4"))
-        h = it.entropy(m, ("x1",))
+        h = m.entropy(("x1",))
         assert all(v == pytest.approx(h, abs=1e-12) for v in prof.values)
 
     def test_copy_role_late_in_order(self):
@@ -191,7 +191,7 @@ class TestProfiles:
             order = tuple(r for r in m.roles if r != "y")
             h = it.uncertainty_profile(m, order)
             i_prof = it.predictability_profile(m, order)
-            hy = it.entropy(m, ("y",))
+            hy = m.entropy(("y",))
             for a, b in zip(h.values, i_prof.values):
                 assert a + b == pytest.approx(hy, abs=1e-12)
 
