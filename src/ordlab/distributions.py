@@ -18,7 +18,8 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -44,13 +45,19 @@ _MASS_TOLERANCE = 1e-12
 def check_mass(values, what, error=MassOutOfTolerance):
     """Exact sum of ``values``; raises ``error`` unless it is within 1e-12 of 1.
 
-    A negative value raises NegativeProbability, even when the sum is 1.
+    A negative value raises NegativeProbability, even when the sum is 1, and
+    a sum too large for a float is inf.
     """
     values = list(values)
-    for v in values:
-        if v < 0:
-            raise NegativeProbability(f"{what} has a negative probability {v!r}")
-    mass = math.fsum(values)
+    # one pass of min finds a negative, unless a nan comes first: then scan
+    if values and not min(values) >= 0:
+        for v in values:
+            if v < 0:
+                raise NegativeProbability(f"{what} has a negative probability {v!r}")
+    try:
+        mass = math.fsum(values)
+    except OverflowError:
+        mass = math.inf
     if not abs(mass - 1.0) <= _MASS_TOLERANCE:  # also rejects nan
         raise error(f"{what} mass {mass!r} not within 1e-12 of 1")
     return mass
@@ -229,7 +236,7 @@ class JointSequenceModel:
 
 
 def _arity_error(key, n):
-    return ArityMismatch(f"tuple {key!r} has arity {len(key)}, expected {n}")
+    return ArityMismatch(f"tuple {tuple(key)!r} has arity {len(key)}, expected {n}")
 
 
 def _encode(roles, alphabets, keys):
@@ -649,34 +656,91 @@ def _array(value):  # a JSON string is no array, though tuple() would split it
     return tuple(value)
 
 
+def _columns(roles, alphabets, entries):
+    """The tuples, p's and codes of ``entries``, each read as a whole column.
+
+    If a column fails, the entries are read one by one, each as its tuple,
+    its p and the tuple's hash, and the first fault raises; a bad arity or
+    symbol only leaves the codes None.
+    """
+    try:
+        keys = list(map(itemgetter("tuple"), entries))
+        ps = list(map(itemgetter("p"), entries))
+        if set(map(type, keys)) <= {list}:
+            return keys, ps, _encode(roles, alphabets, keys)
+    except (KeyError, TypeError, ArityMismatch, UnknownRole):
+        pass
+    for e in entries:
+        key, _ = _array(e["tuple"]), e["p"]
+        hash(key)
+    return keys, ps, None
+
+
+def _first_repeat(codes, sizes):
+    """Index of the first row of ``codes`` equal to an earlier row, or -1.
+
+    The rows are sorted stably, as int64 keys in the mixed radix of the
+    alphabet ``sizes`` or, past int64, by ``lexsort``; in a run of equal
+    rows, every row after the first repeats it.
+    """
+    if len(codes) < 2:
+        return -1
+    if math.prod(sizes) < 2**63:
+        codes = codes @ [*accumulate(reversed(sizes), mul, initial=1)][-2::-1]
+        order = np.argsort(codes, kind="stable")
+    else:
+        order = np.lexsort(codes.T[::-1])
+    rows = codes[order].reshape(len(order), -1)
+    repeats = order[1:][(rows[1:] == rows[:-1]).all(1)]
+    return int(repeats.min()) if repeats.size else -1
+
+
 def model_from_json(text):
+    """The model a model file's ``text`` holds, checked as it is read.
+
+    The first fault raises, in this order of steps, each step in file order:
+
+    1. not JSON, or a bad shape: ``roles`` or an alphabet not an array, an
+       alphabet empty or with repeated or unhashable symbols, no ``entries``;
+    2. an entry that is not an object with a ``tuple``, an array of
+       hashable symbols, and a ``p``;
+    3. a top-level key other than roles, alphabets, entries and target;
+    4. a p that is not a number, or an integer too large for a float (of a
+       repeated tuple, only the later p is read);
+    5. duplicate roles (RoleOverlap);
+    6. a tuple of the wrong arity (ArityMismatch), then a symbol outside
+       its role's alphabet (UnknownRole);
+    7. a tuple that repeats an earlier one, even at p = 0;
+    8. a negative p (NegativeProbability), then a total mass, inf if its
+       sum overflows, not within 1e-12 of 1 (MassOutOfTolerance).
+
+    Steps 1-4 and 7 raise InputParseError.
+    """
     try:
         doc = json.loads(text)
         roles = _array(doc["roles"])
         alphabets = {r: Alphabet(_array(doc["alphabets"][r])) for r in roles}
-        table = {tuple(t) if isinstance(t := e["tuple"], list) else _array(t): e["p"]
-                 for e in doc["entries"]}
+        keys, ps, codes = _columns(roles, alphabets, doc["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"bad model document: {exc!r}") from None
     if unknown := doc.keys() - {"roles", "alphabets", "entries", "target"}:
         raise InputParseError(f"bad model document: unknown key {min(unknown)!r}")
-    for p in table.values():
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise InputParseError(f"bad model document: p = {p!r} is not a number")
-        try:
-            float(p)
-        except OverflowError:
-            raise InputParseError("bad model document: an integer p is too large "
-                                  "for a float") from None
+    if not set(map(type, ps)) <= {float}:
+        # by tuple, in order of first entry, each with its last p
+        for p in dict(zip(map(tuple, keys), ps)).values():
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise InputParseError(f"bad model document: p = {p!r} is not a number")
+            try:
+                float(p)
+            except OverflowError:
+                raise InputParseError("bad model document: an integer p is too large "
+                                      "for a float") from None
     roles = _distinct(roles)
-    codes = _encode(roles, alphabets, list(table))
-    if len(table) < len(doc["entries"]):  # a repeated tuple, even at p = 0
-        seen = set()
-        for key in (tuple(e["tuple"]) for e in doc["entries"]):
-            if key in seen:
-                raise InputParseError(f"bad model document: the tuple {key!r} repeats")
-            seen.add(key)
-    return _model(roles, alphabets, codes, list(table.values()), doc.get("target"))
+    if codes is None:
+        _encode(roles, alphabets, keys)  # raises for the first bad tuple
+    if (j := _first_repeat(codes, [len(alphabets[r]) for r in roles])) >= 0:
+        raise InputParseError(f"bad model document: the tuple {tuple(keys[j])!r} repeats")
+    return _model(roles, alphabets, codes, ps, doc.get("target"))
 
 
 def save_model(model, path):

@@ -560,6 +560,21 @@ BAD_INPUTS = {
         "entries": [{"tuple": ["a", "a"], "p": 0.25}, {"tuple": ["b", "b"], "p": 0.5},
                     {"tuple": ["a", "a"], "p": 0.25}],
     }),
+    # only the later copy of a repeated tuple has its p read, so the earlier
+    # copy's p that is no number goes unreported, and the repeat is the fault
+    "bad_p_on_repeated_tuple": json.dumps({
+        "roles": ["y", "x"],
+        "alphabets": {"y": ["a", "b"], "x": ["a", "b"]},
+        "entries": [{"tuple": ["a", "a"], "p": "half"}, {"tuple": ["b", "b"], "p": 0.5},
+                    {"tuple": ["a", "a"], "p": 0.5}],
+    }),
+    # masses whose exact sum overflows a float have mass inf
+    "overflowing_mass": json.dumps({
+        "roles": ["x", "y"], "alphabets": {"x": ["a", "b"], "y": ["a", "b"]},
+        "entries": [{"tuple": ["a", "a"], "p": 1e308}, {"tuple": ["b", "b"], "p": 1e308}],
+    }),
+    "overflowing_types": "type,probability\na,1e308\nb,1e308\n",
+    "overflowing_contexts": "type,probability,ctx1\na,1e308,x\nb,1e308,x\n",
     # config integers: a number with a fraction or in a string is not one,
     # and a seed lies in [0, 2**64)
     "fractional_steps": json.dumps({"steps": 2.9}),
@@ -765,6 +780,17 @@ ERROR_CASES = [
       for name in ("misspelt_steps", "unread_decay_key", "tabulated_distance_4",
                    "tabulated_repeated_distance")),
     (["coding", "--input", "{repeated_column}"], 1, "input_parse_error"),
+    (["rate", "uid", "--model", "{bad_p_on_repeated_tuple}"], 1, "input_parse_error"),
+    # a mass whose exact sum overflows a float is inf, so out of tolerance
+    (["placement", "--model", "{overflowing_mass}"], 1, "mass_out_of_tolerance"),
+    *((["coding", "--input", f"{{{name}}}"], 1, "mass_out_of_tolerance")
+      for name in ("overflowing_types", "overflowing_contexts")),
+    (["gen", "--kind", "iid", "--marginal", "a:1e308,b:1e308", "--length", "5"], 1,
+     "mass_out_of_tolerance"),
+    (["gen", "--kind", "markov", "--initial", "a:1", "--transition",
+      "a>a:1e308,a>b:1e308;b>a:1", "--length", "5"], 1, "non_stochastic_row"),
+    (["ring", "compare", "--dist", "SOV=1e308,SVO=1e308,VSO=0,VOS=0,OVS=0,OSV=0"], 1,
+     "mass_out_of_tolerance"),
 ]
 
 

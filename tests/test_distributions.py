@@ -53,6 +53,19 @@ class TestMakeJoint:
         with pytest.raises(NegativeProbability):
             build()
 
+    @pytest.mark.parametrize("values, first", [
+        ([math.nan, 0.5, -0.5, 1.0], "-0.5"),  # min passes over a leading nan
+        ([0.5, math.nan, -1, 1.5, -0.5], "-1"),
+    ])
+    def test_the_first_negative_probability_is_named(self, values, first):
+        with pytest.raises(NegativeProbability, match=f"probability {first}$"):
+            d.check_mass(values, "total")
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [0.5, 1e308, 1e308], [10**400]])
+    def test_an_overflowing_sum_is_mass_inf(self, values):
+        with pytest.raises(MassOutOfTolerance, match="total mass inf not within"):
+            d.check_mass(values, "total")
+
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             d.make_joint(("t", "x"), {("a",): 1.0})
